@@ -30,7 +30,14 @@ from .polygon import (
     internal_triangle_count,
     triangulation_to_problem,
 )
-from .search import SearchResult, append_result, exhaustive_cn, heuristic_cn, load_results
+from .search import (
+    ResultsFileError,
+    SearchResult,
+    append_result,
+    exhaustive_cn,
+    heuristic_cn,
+    load_results,
+)
 
 DEFAULT_SEED = 1729
 EXIT_OK = 0
@@ -216,7 +223,11 @@ def cmd_search(cfg: RunConfig) -> int:
         raise CliError(EXIT_INVALID, "search requires --n")
     out = cfg.out or "cn_results.jsonl"
     if cfg.resume:
-        for r in load_results(out):
+        try:
+            recorded = load_results(out)
+        except ResultsFileError as exc:
+            raise CliError(EXIT_PARSE, str(exc))
+        for r in recorded:
             if r.n == cfg.n and r.mode == cfg.mode:
                 report = r.to_json()
                 report["resumed"] = True

@@ -311,6 +311,8 @@ class Engine:
             self.cache_hits += 1
             return hit
         val = self._compute(m, masks)
+        if val >= DEGREE_LIMIT:  # m < 6 above gives 0 or 1
+            raise OverflowError(f"degree {val} exceeds the uint64 contract")
         self.cache_misses += 1
         if self.cache_cap is None or len(self._cache) < self.cache_cap:
             self._cache[key] = val
@@ -351,8 +353,6 @@ class Engine:
             if d1 == 0:
                 continue
             total += d1 * self._degree(*_build_side(masks, s1, a2))
-        if total >= DEGREE_LIMIT:
-            raise OverflowError(f"degree {total} exceeds the uint64 contract")
         return total
 
     def _choose_branch(self, m, masks):

@@ -81,10 +81,6 @@ class DegreeInstance:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "quads", quads)
 
-    @classmethod
-    def from_problem(cls, p: CrossRatioProblem) -> "DegreeInstance":
-        return p.instance()
-
     def compact(self) -> tuple[int, tuple[int, ...], list]:
         """(m, quad bitmasks, index -> label) with labels renumbered 0..m-1."""
         order = sorted(self.labels, key=label_key)

@@ -30,6 +30,7 @@ __all__ = [
     "bound_report",
     "exhaustive_cn",
     "heuristic_cn",
+    "ResultsFileError",
     "append_result",
     "load_results",
 ]
@@ -252,19 +253,56 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
     )
 
 
+class ResultsFileError(ValueError):
+    """A results file holds a record that is neither valid nor a torn tail."""
+
+
 def append_result(path: str, result: SearchResult) -> None:
-    with open(path, "a") as fh:
-        fh.write(json.dumps(result.to_json()) + "\n")
+    """Append one record as a whole line.
+
+    A last line without its newline is left by an interrupted append: it
+    is completed when it parses and cut off when it does not, so the new
+    record always starts on a fresh line.
+    """
+    record = (json.dumps(result.to_json()) + "\n").encode()
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+                record = b"\n" + record
+            except ValueError:
+                fh.truncate(start)
+        fh.write(record)
 
 
 def load_results(path: str) -> list[SearchResult]:
-    out = []
+    """Records of a results file; a missing file has none.
+
+    An unparseable last line is the torn tail of an interrupted append and
+    is skipped.  Any other bad line raises ResultsFileError.
+    """
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(SearchResult.from_json(json.loads(line)))
+            lines = fh.read().split("\n")
     except FileNotFoundError:
-        pass
+        return []
+    while lines and not lines[-1].strip():
+        lines.pop()
+    out = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            if i == len(lines) - 1:
+                break
+            raise ResultsFileError(f"{path}: line {i + 1}: {exc}") from exc
+        try:
+            out.append(SearchResult.from_json(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ResultsFileError(f"{path}: line {i + 1}: bad record: {exc}") from exc
     return out

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 package internals: crossing tests are done with coordinate geometry,
 triangulations by filtering all diagonal subsets, the vanishing test by
-enumerating every sub-multiset.
+enumerating every sub-multiset, and canonical labeling by walking the
+whole individualization-refinement tree without automorphism pruning.
 """
 
 import math
@@ -174,3 +175,67 @@ def split_degree_at(labels, quads, s1_index, pairing_index):
         total += (split_degree(a1 | {star1}, q1)
                   * split_degree(a2 | {star2}, q2))
     return total
+
+
+def _reference_refine(colors, quad_bits, quads_of):
+    m = len(colors)
+    ncol = len(set(colors))
+    while True:
+        qsig = [tuple(sorted(colors[b] for b in qb)) for qb in quad_bits]
+        sig = [
+            (colors[l], tuple(sorted(qsig[j] for j in quads_of[l])))
+            for l in range(m)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[s] for s in sig]
+        if len(rank) == ncol:
+            return new
+        colors, ncol = new, len(rank)
+
+
+def reference_encode(colors, masks):
+    """Sorted quad masks under the relabeling label -> colors[label]."""
+    return tuple(sorted(
+        sum(1 << colors[b] for b in range(len(colors)) if q >> b & 1)
+        for q in masks
+    ))
+
+
+def _reference_search(colors, masks, quad_bits, quads_of):
+    colors = _reference_refine(colors, quad_bits, quads_of)
+    m = len(colors)
+    classes = {}
+    for l, c in enumerate(colors):
+        classes.setdefault(c, []).append(l)
+    tie = None
+    for c in sorted(classes):
+        if len(classes[c]) > 1:
+            tie = classes[c]
+            break
+    if tie is None:
+        return reference_encode(colors, masks), colors
+    best = None
+    best_colors = None
+    for l in tie:
+        seeded = [(colors[x], 0 if x != l else -1) for x in range(m)]
+        rank = {s: i for i, s in enumerate(sorted(set(seeded)))}
+        enc, full = _reference_search(
+            [rank[s] for s in seeded], masks, quad_bits, quads_of)
+        if best is None or enc < best:
+            best, best_colors = enc, full
+    return best, best_colors
+
+
+def reference_canon(m, masks):
+    """(least leaf encoding, first leaf coloring realizing it) by the
+    unpruned individualization-refinement search: every member of every
+    first tied class is individualized, so the whole tree is explored.
+    Exponential on symmetric inputs; the package's canonical labeling
+    must agree with it bit for bit.
+    """
+    quad_bits = [[b for b in range(m) if q >> b & 1] for q in masks]
+    quads_of = [[] for _ in range(m)]
+    for j, qb in enumerate(quad_bits):
+        for b in qb:
+            quads_of[b].append(j)
+    return _reference_search([0] * m, masks, quad_bits, quads_of)

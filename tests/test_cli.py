@@ -124,6 +124,32 @@ def test_search_heuristic(capsys, tmp_path):
     assert back["best_degree"] == rep["best_degree"]
 
 
+def test_search_resume_after_torn_tail(capsys, tmp_path):
+    out = tmp_path / "runs.jsonl"
+    argv = ("search", "--n", "7", "--budget", "200", "--out", str(out))
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    whole = out.read_text()
+    out.write_text(whole[:len(whole) // 2])  # interrupted mid-line
+    code, rep = run_json(capsys, *argv, "--resume")
+    assert code == 0
+    assert "resumed" not in rep
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["best_degree"] == rep["best_degree"]
+    code, rep = run_json(capsys, *argv, "--resume")
+    assert code == 0
+    assert rep["resumed"] is True
+
+
+def test_search_resume_corrupt_results_exit(capsys, tmp_path):
+    out = tmp_path / "runs.jsonl"
+    out.write_text("{not json\n{}\n")
+    code, _ = run(capsys, "search", "--n", "7", "--budget", "200",
+                  "--out", str(out), "--resume")
+    assert code == 2
+
+
 def test_search_rejects_bad_n(capsys, tmp_path):
     out = str(tmp_path / "runs.jsonl")
     code, _ = run(capsys, "search", "--n", "5", "--out", out)

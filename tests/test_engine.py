@@ -1,9 +1,17 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_isomorphic, brute_vanishes, random_problem, split_degree
+from oracles import (
+    brute_isomorphic,
+    brute_vanishes,
+    random_problem,
+    reference_canon,
+    reference_encode,
+    split_degree,
+)
 from xratio import (
     CrossRatioProblem,
     DegreeInstance,
@@ -13,13 +21,15 @@ from xratio import (
     degree,
     double_cut,
     enumerate_triangulations,
+    inscribed_polygon_triangulation,
     normalize,
     random_triangulation,
     surplus_violated,
     three_cut,
     triangulation_to_problem,
 )
-from xratio.engine.canon import canonical_key
+from xratio.engine import core
+from xratio.engine.canon import canonical_key, canonical_relabeling
 from xratio.engine.surplus import find_violation
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
@@ -219,6 +229,81 @@ def test_canonical_key_is_isomorphism_invariant():
         assert (k1 == k2) == brute_isomorphic(6, p1.quads, p2.quads)
 
 
+def relabeled(p, rng):
+    perm = list(range(1, p.n + 1))
+    rng.shuffle(perm)
+    return CrossRatioProblem(
+        p.n, tuple(frozenset(perm[x - 1] for x in q) for q in p.quads)
+    )
+
+
+def band_masks(lengths, offsets, path_len, rng):
+    """Quads {i + o : o in offsets} around cycles of the given lengths,
+    plus a path of consecutive quads on path_len labels, on shuffled
+    labels.  Every cycle label sees the same quad pattern, so refinement
+    cannot tell the cycles apart: only individualization can.
+    """
+    m = path_len + sum(lengths)
+    labels = list(range(m))
+    rng.shuffle(labels)
+    quads = [labels[i:i + 4] for i in range(path_len - 3)]
+    start = path_len
+    for n in lengths:
+        cyc = labels[start:start + n]
+        quads += [[cyc[(i + o) % n] for o in offsets] for i in range(n)]
+        start += n
+    return m, tuple(sorted(sum(1 << b for b in q) for q in quads))
+
+
+def test_canonical_labeling_matches_unpruned_reference():
+    # symmetric inputs reach the automorphism pruning; random ones rarely do
+    cases = [triangulation_to_problem(t).instance().compact()[:2]
+             for n in range(3, 11) for t in enumerate_triangulations(n)]
+    cases += [triangulation_to_problem(inscribed_polygon_triangulation(n))
+              .instance().compact()[:2] for n in range(6, 19)]
+    rng = random.Random(73)
+    cases += [random_problem(rng.randrange(5, 13), rng).instance().compact()[:2]
+              for _ in range(300)]
+    cases += [band_masks((12, 6), (0, 1, 2, 3), path_len, rng)
+              for path_len in (0, 6)]
+    for m, masks in cases:
+        enc, colors = reference_canon(m, masks)
+        assert canonical_key(m, masks) == (m, enc), masks
+        relab = canonical_relabeling(m, masks)
+        assert relab == colors, masks
+        assert reference_encode(relab, masks) == enc
+
+
+def test_canonical_key_on_inseparable_cycles_in_bounded_time():
+    # refinement leaves all cycle labels in one class, and the subtrees of
+    # a cycle other than the first leaf's hold no image of that leaf:
+    # only automorphisms found below them keep them small
+    rng = random.Random(77)
+    t0 = time.perf_counter()
+    keys = {canonical_key(*band_masks((10, 5, 5), (0, 1, 2, 4), 6, rng))
+            for _ in range(3)}
+    assert len(keys) == 1
+    assert time.perf_counter() - t0 < 5
+
+
+def test_normalize_invariant_on_large_triangulations():
+    rng = random.Random(79)
+    for n in range(16, 33):
+        for t in (inscribed_polygon_triangulation(n),
+                  random_triangulation(n, rng.randrange(2**32))):
+            p = triangulation_to_problem(t)
+            norm = normalize(p)
+            assert normalize(relabeled(p, rng)) == norm
+            assert normalize(relabeled(p, rng)) == norm
+
+
+def test_inscribed_32_degree_in_bounded_time():
+    p = triangulation_to_problem(inscribed_polygon_triangulation(32))
+    t0 = time.perf_counter()
+    assert Engine().degree(p) == 2**14
+    assert time.perf_counter() - t0 < 10
+
+
 def test_three_cut_on_pentagon():
     p = CrossRatioProblem(5, ({5, 1, 2, 3}, {2, 3, 4, 5}))
     tc = three_cut(p)
@@ -338,6 +423,20 @@ def test_cache_hits_on_repeat_and_relabel():
     assert eng.degree(relab) == 8
     assert eng.cache_hits > hits
     assert eng.cache_misses == misses
+
+
+def test_degree_limit_applies_to_cut_products(monkeypatch):
+    t = Triangulation(10, ((1, 3), (1, 9), (3, 5), (3, 8), (3, 9), (5, 8), (6, 8)))
+    p = triangulation_to_problem(t)
+    tc = three_cut(p)
+    assert tc is not None and not tc.degree_zero
+    assert [degree(s) for s in tc.side_instances] == [2, 2]
+    monkeypatch.setattr(core, "DEGREE_LIMIT", 5)
+    assert Engine().degree(p) == 4
+    # every side stays under the limit; only the three-cut product reaches it
+    monkeypatch.setattr(core, "DEGREE_LIMIT", 4)
+    with pytest.raises(OverflowError):
+        Engine().degree(p)
 
 
 def test_cache_cap_zero_still_correct():

@@ -9,7 +9,13 @@ from xratio import (
     inscribed_polygon_triangulation,
     normalize,
 )
-from xratio.search import RECORDS, SearchResult, append_result, load_results
+from xratio.search import (
+    RECORDS,
+    ResultsFileError,
+    SearchResult,
+    append_result,
+    load_results,
+)
 
 
 def test_bound_report_table():
@@ -112,3 +118,31 @@ def test_results_jsonl_roundtrip(tmp_path):
         assert back.seed == orig.seed
         assert back.budget == orig.budget
         assert back.certified == orig.certified
+
+
+def test_results_file_torn_tail(tmp_path):
+    path = str(tmp_path / "runs.jsonl")
+    a = exhaustive_cn(6)
+    append_result(path, a)
+    whole = open(path).read()
+    with open(path, "a") as fh:
+        fh.write(whole[:40])  # an append cut off mid-line
+    assert [r.n for r in load_results(path)] == [6]
+    append_result(path, a)  # the torn tail is cut off, not glued onto
+    assert open(path).read() == whole + whole
+    with open(path, "w") as fh:
+        fh.write(whole.rstrip("\n"))  # a whole last record, unterminated
+    append_result(path, a)
+    assert open(path).read() == whole + whole
+
+
+def test_results_file_corrupt_middle_line(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    append_result(str(path), exhaustive_cn(6))
+    whole = path.read_text()
+    path.write_text(whole[:40] + "\n" + whole)
+    with pytest.raises(ResultsFileError, match="line 1"):
+        load_results(str(path))
+    path.write_text(whole + '{"n": 6}\n')
+    with pytest.raises(ResultsFileError, match="line 2"):
+        load_results(str(path))
