@@ -196,7 +196,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     try:
         fc = numeric_degree(
             problem, seed=cfg.seed, unknown_limit=max(6, cfg.nmax or 0),
-            path_cap=cfg.paths, threads=cfg.threads,
+            path_cap=cfg.paths,
         )
     except PathBudgetError as exc:
         print(json.dumps({"error": str(exc)}))
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"rng seed (default {DEFAULT_SEED})")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker pool size for verify sweeps and oracle paths")
+                    help="worker pool size for verify sweeps")
     ap.add_argument("--format", dest="fmt", choices=("json", "table"),
                     default="json", help="report format")
     ap.add_argument("--cache-cap", type=int, default=None,

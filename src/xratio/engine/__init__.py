@@ -9,10 +9,10 @@ from .core import (
     degree,
     double_cut,
     normalize,
-    surplus_violated,
     three_cut,
 )
 from .instance import CrossRatioProblem, DegreeInstance, Label, Quad, label_key
+from .surplus import surplus_violated
 from .trees import MarkedTree, TreeEdge, contributing_trees
 
 __all__ = [

@@ -20,23 +20,32 @@ label budget).  If three quads pairwise share exactly two labels and
 jointly cover six, the degree is twice the product of the three side
 degrees.  Both are optional so that their identities can be tested
 against the bare recursion.
+
+Zeros need no separate test: the recursion already returns 0 on every
+configuration with a label-deficient sub-collection.  `surplus_violated`
+(in `surplus`) is the certificate API that names such a sub-collection;
+the degree path never calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 from .canon import canonical_key, canonical_relabeling
-from .instance import CrossRatioProblem, DegreeInstance, bits_of, label_key
-from .surplus import find_violation
+from .instance import (
+    CrossRatioProblem,
+    DegreeInstance,
+    as_instance,
+    bits_of,
+    compact_aligned,
+)
 
 __all__ = [
     "Engine",
     "ThreeCut",
     "DoubleCut",
     "degree",
-    "surplus_violated",
     "three_cut",
     "double_cut",
     "normalize",
@@ -46,9 +55,10 @@ __all__ = [
 DEGREE_LIMIT = 1 << 64  # degrees of supported instance sizes fit in uint64
 
 
-def _partitions(m, masks, s1, p1, p2):
-    """Admissible splits for the recursion at quad s1 with seed pairs p1, p2.
+def _partitions(m, masks, s1):
+    """Admissible splits for the recursion at quad s1.
 
+    Quad s1's two lowest labels seed side 1 and its two highest side 2.
     Yields (a1, a2) bitmask pairs.  A split is admissible when every other
     quad meets a1 in a count other than 2 and the quads with >= 3 labels
     in a1 number exactly |a1| - 2 (then the same holds on side 2).  The
@@ -56,6 +66,9 @@ def _partitions(m, masks, s1, p1, p2):
     down to their last unplaced label, and prunes branches whose side
     budgets are already unreachable.
     """
+    b = bits_of(masks[s1])
+    p1 = (1 << b[0]) | (1 << b[1])
+    p2 = (1 << b[2]) | (1 << b[3])
     others = [masks[j] for j in range(len(masks)) if j != s1]
     k = len(others)
     full = (1 << m) - 1
@@ -278,9 +291,11 @@ def _find_double_cut(m, masks):
 class Engine:
     """Degree computations with a relabeling-aware memo cache.
 
-    The factorization shortcuts can be switched off to test their
-    identities against the bare recursion; separate configurations keep
-    separate caches.
+    A cache miss runs the bare recursion, split at the first quad with
+    its first pairing (the value does not depend on that choice), after
+    the two factorization shortcuts.  The shortcuts can be switched off
+    to test their identities against the bare recursion; separate
+    configurations keep separate caches.
     """
 
     def __init__(self, use_three_cut: bool = True, use_double_cut: bool = True,
@@ -319,8 +334,6 @@ class Engine:
         return val
 
     def _compute(self, m, masks) -> int:
-        if find_violation(m, masks) is not None:
-            return 0
         if self.use_three_cut:
             tc = _find_three_cut(m, masks)
             if tc is not None:
@@ -346,38 +359,13 @@ class Engine:
                     if total == 0:
                         return 0
                 return total
-        s1, (p1, p2) = self._choose_branch(m, masks)
         total = 0
-        for a1, a2 in _partitions(m, masks, s1, p1, p2):
-            d1 = self._degree(*_build_side(masks, s1, a1))
+        for a1, a2 in _partitions(m, masks, 0):
+            d1 = self._degree(*_build_side(masks, 0, a1))
             if d1 == 0:
                 continue
-            total += d1 * self._degree(*_build_side(masks, s1, a2))
+            total += d1 * self._degree(*_build_side(masks, 0, a2))
         return total
-
-    def _choose_branch(self, m, masks):
-        # the sum is choice-independent, so pick the split with the fewest
-        # admissible partitions (counts capped to bound the probe cost)
-        best = None
-        best_count = 64
-        seen = set()
-        for j, q in enumerate(masks):
-            if q in seen:
-                continue
-            seen.add(q)
-            b = bits_of(q)
-            splits = (
-                ((1 << b[0]) | (1 << b[1]), (1 << b[2]) | (1 << b[3])),
-                ((1 << b[0]) | (1 << b[2]), (1 << b[1]) | (1 << b[3])),
-                ((1 << b[0]) | (1 << b[3]), (1 << b[1]) | (1 << b[2])),
-            )
-            for sp in splits:
-                cnt = sum(1 for _ in islice(_partitions(m, masks, j, *sp), best_count))
-                if best is None or cnt < best_count:
-                    best, best_count = (j, sp), cnt
-                    if cnt == 0:
-                        return best
-        return best
 
 
 @dataclass(frozen=True)
@@ -400,30 +388,9 @@ class DoubleCut:
     degree_zero: bool
 
 
-def _compact_aligned(inst: DegreeInstance):
-    # masks aligned with inst.quads order, so indices refer to that tuple
-    order = sorted(inst.labels, key=label_key)
-    pos = {lab: i for i, lab in enumerate(order)}
-    masks = tuple(sum(1 << pos[x] for x in q) for q in inst.quads)
-    return len(order), masks, order
-
-
-def _as_instance(inst) -> DegreeInstance:
-    if isinstance(inst, CrossRatioProblem):
-        return inst.instance()
-    return inst
-
-
-def surplus_violated(inst) -> tuple[int, ...] | None:
-    """Indices (into inst.quads) of a vanishing certificate, or None."""
-    inst = _as_instance(inst)
-    m, masks, _ = _compact_aligned(inst)
-    return find_violation(m, masks)
-
-
 def three_cut(inst) -> ThreeCut | None:
-    inst = _as_instance(inst)
-    m, masks, order = _compact_aligned(inst)
+    inst = as_instance(inst)
+    m, masks, order = compact_aligned(inst)
     tc = _find_three_cut(m, masks)
     if tc is None:
         return None
@@ -440,8 +407,8 @@ def three_cut(inst) -> ThreeCut | None:
 
 
 def double_cut(inst) -> DoubleCut | None:
-    inst = _as_instance(inst)
-    m, masks, order = _compact_aligned(inst)
+    inst = as_instance(inst)
+    m, masks, order = compact_aligned(inst)
     dc = _find_double_cut(m, masks)
     if dc is None:
         return None
@@ -462,7 +429,7 @@ def double_cut(inst) -> DoubleCut | None:
 
 def normalize(inst) -> CrossRatioProblem:
     """Canonical representative on labels 1..m; equal iff relabel-isomorphic."""
-    inst = _as_instance(inst)
+    inst = as_instance(inst)
     m, masks, _ = inst.compact()
     perm = canonical_relabeling(m, masks)
     quads = tuple(

@@ -91,6 +91,20 @@ class DegreeInstance:
         return len(order), masks, order
 
 
+def as_instance(inst) -> DegreeInstance:
+    if isinstance(inst, CrossRatioProblem):
+        return inst.instance()
+    return inst
+
+
+def compact_aligned(inst: DegreeInstance):
+    # masks aligned with inst.quads order, so indices refer to that tuple
+    order = sorted(inst.labels, key=label_key)
+    pos = {lab: i for i, lab in enumerate(order)}
+    masks = tuple(sum(1 << pos[x] for x in q) for q in inst.quads)
+    return len(order), masks, order
+
+
 def bits_of(mask: int) -> list[int]:
     out = []
     while mask:

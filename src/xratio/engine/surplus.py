@@ -13,15 +13,19 @@ a violating U' exists iff for some 3-set R of labels the bipartite graph
   - If Hall fails for some R, the labels reachable from an unsaturated
     quad by alternating paths certify a set U' with at most |U'| - 1
     neighbors outside R, hence at most |U'| + 2 labels in total.
+
+This is a certificate API, not part of the degree path: the splitting
+recursion in `core` already returns 0 on every such input, and
+`surplus_violated` names the sub-collection that explains the zero.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .instance import bits_of
+from .instance import as_instance, bits_of, compact_aligned
 
-__all__ = ["find_violation"]
+__all__ = ["find_violation", "surplus_violated"]
 
 
 def _kuhn(adj: list[int], m: int) -> tuple[int, ...] | None:
@@ -79,3 +83,9 @@ def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
             if bad is not None:
                 return bad
     return None
+
+
+def surplus_violated(inst) -> tuple[int, ...] | None:
+    """Indices (into inst.quads) of a vanishing certificate, or None."""
+    m, masks, _ = compact_aligned(as_instance(inst))
+    return find_violation(m, masks)

@@ -12,9 +12,9 @@ so the number of trees equals the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .instance import CrossRatioProblem, DegreeInstance, label_key
+from .core import _partitions
+from .instance import CrossRatioProblem, DegreeInstance, bits_of, label_key
 
 __all__ = ["MarkedTree", "TreeEdge", "contributing_trees"]
 
@@ -55,25 +55,13 @@ class MarkedTree:
 
 
 def _splits_of(labels: frozenset, quads, s1):
-    """Admissible (A1, A2) label splits at quad position s1 (brute force).
-
-    Instances here are small (trees are only expanded for <= 9 or so
-    labels), so trying every subset of the free labels is fine.
-    """
-    others = [q for t, q in enumerate(quads) if t != s1]
-    sq = sorted(quads[s1][1], key=label_key)
-    pair1, pair2 = frozenset(sq[:2]), frozenset(sq[2:])
-    free = sorted(labels - pair1 - pair2, key=label_key)
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            a1 = pair1 | frozenset(extra)
-            a2 = labels - a1
-            if any(len(q & a1) == 2 for _, q in others):
-                continue
-            u1 = sum(1 for _, q in others if len(q & a1) >= 3)
-            if u1 != len(a1) - 2:
-                continue
-            yield a1, a2
+    """Admissible (A1, A2) label splits at quad position s1."""
+    order = sorted(labels, key=label_key)
+    pos = {lab: i for i, lab in enumerate(order)}
+    masks = [sum(1 << pos[x] for x in q) for _, q in quads]
+    for a1, a2 in _partitions(len(order), masks, s1):
+        yield (frozenset(order[i] for i in bits_of(a1)),
+               frozenset(order[i] for i in bits_of(a2)))
 
 
 def _side_quads(quads, s1, a, star):

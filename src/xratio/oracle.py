@@ -290,7 +290,7 @@ def _track_one(system, sC, sD, gamma, z0, max_steps=3000) -> PathResult:
 
 
 def solve_total_degree(system: CrossRatioSystem, seed: int = 1729,
-                       path_cap: int = 4096, threads: int = 1) -> list[PathResult]:
+                       path_cap: int = 4096) -> list[PathResult]:
     """Track every total-degree start root to the target system."""
     bez = system.bezout
     if bez > path_cap:
@@ -307,12 +307,6 @@ def solve_total_degree(system: CrossRatioSystem, seed: int = 1729,
         base = sC[i] ** (1.0 / d)
         roots_per_var.append([base * cmath.exp(2j * math.pi * j / d) for j in range(d)])
     starts = [np.array(combo, dtype=complex) for combo in iproduct(*roots_per_var)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda z0: _track_one(system, sC, sD, gamma, z0), starts))
     return [_track_one(system, sC, sD, gamma, z0) for z0 in starts]
 
 
@@ -364,12 +358,12 @@ def _near_degenerate(z, tol=1e-4) -> bool:
     return False
 
 
-def _trial_count(problem, chart, values, seed, path_cap, threads):
+def _trial_count(problem, chart, values, seed, path_cap):
     targets = tuple(
         Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
     )
     system = build_system(problem, targets, chart)
-    results = solve_total_degree(system, seed=seed, path_cap=path_cap, threads=threads)
+    results = solve_total_degree(system, seed=seed, path_cap=path_cap)
 
     accepted = []
     diverged = failed = 0
@@ -426,7 +420,7 @@ def _trial_count(problem, chart, values, seed, path_cap, threads):
 
 def numeric_degree(problem: CrossRatioProblem, seed: int = 1729, trials: int = 3,
                    unknown_limit: int = 6, path_cap: int = 4096,
-                   threads: int = 1, chart: Chart | None = None) -> FiberCount:
+                   chart: Chart | None = None) -> FiberCount:
     """Count a generic fiber numerically; majority over independent trials.
 
     The run is flagged inconclusive when the trials disagree, when an
@@ -450,7 +444,7 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729, trials: int = 3
         values = [_draw_value(rng) for _ in problem.quads]
         tseed = int(rng.integers(0, 2**31))
         c, n_tracked, n_acc, n_div, n_fail, sep, multiple = _trial_count(
-            problem, chart, values, tseed, path_cap, threads
+            problem, chart, values, tseed, path_cap
         )
         counts.append(c)
         tracked += n_tracked

@@ -153,14 +153,27 @@ def test_vanishing_fixture_certificate():
 
 
 def test_no_violation_implies_positive_degree():
+    # the engine finds zeros by the recursion alone, so check every
+    # configuration against the certificate and the brute-force test
     rng = random.Random(44)
-    for _ in range(120):
-        n = rng.randrange(5, 9)
-        p = random_problem(n, rng)
-        if surplus_violated(p) is None:
-            assert degree(p) > 0, p.quads
-        else:
-            assert degree(p) == 0, p.quads
+    inputs = [random_problem(rng.randrange(5, 14), rng) for _ in range(160)]
+    for _ in range(40):
+        n = rng.randrange(10, 15)
+        # a violation hidden in the last quads: 6 of them on 8 labels
+        top = range(n - 7, n + 1)
+        quads = [rng.sample(range(1, n + 1), 4) for _ in range(n - 9)]
+        quads += [rng.sample(top, 4) for _ in range(6)]
+        inputs.append(CrossRatioProblem(n, tuple(map(frozenset, quads))))
+        # duplicate quads far from the first one
+        quads = list(random_problem(n, rng).quads)
+        quads[-1] = quads[len(quads) // 2]
+        inputs.append(CrossRatioProblem(n, tuple(quads)))
+    engines = all_engines()
+    for p in inputs:
+        vanishes = brute_vanishes(p.quads)
+        assert (surplus_violated(p) is not None) == vanishes, p.quads
+        for eng in engines:
+            assert (eng.degree(p) == 0) == vanishes, p.quads
 
 
 def test_relabel_invariance():

@@ -212,9 +212,3 @@ def test_fiber_count_json():
     assert obj["count"] == 2
     assert obj["inconclusive"] is False
     assert obj["trials"] == [2, 2, 2]
-
-
-def test_threaded_solve_matches():
-    fc1 = numeric_degree(SNOWFLAKE, seed=13, threads=1)
-    fc2 = numeric_degree(SNOWFLAKE, seed=13, threads=2)
-    assert fc1.count == fc2.count == 2
