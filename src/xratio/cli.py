@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .engine import CrossRatioProblem, Engine
 from .oracle import PathBudgetError, numeric_degree
@@ -45,23 +44,6 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_MISMATCH = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    path: str | None
-    seed: int
-    threads: int
-    nmax: int | None
-    budget: int | None
-    paths: int
-    fmt: str
-    resume: bool
-    cache_cap: int | None
-    mode: str | None = None
-    n: int | None = None
-    out: str | None = None
 
 
 class CliError(Exception):
@@ -114,13 +96,13 @@ def emit(report: dict, fmt: str, table_lines=None):
             print(line)
 
 
-def cmd_degree(cfg: RunConfig) -> int:
-    data = load_input(cfg.path)
+def cmd_degree(ns) -> int:
+    data = load_input(ns.file)
     if isinstance(data, Triangulation):
         problem = triangulation_to_problem(data)
     else:
         problem = data
-    engine = Engine(cache_cap=cfg.cache_cap)
+    engine = Engine(cache_cap=ns.cache_cap)
     d = engine.degree(problem)
     report = {
         "n": problem.n,
@@ -128,7 +110,7 @@ def cmd_degree(cfg: RunConfig) -> int:
         "method": "recursion",
         "cache_hits": engine.cache_hits,
     }
-    emit(report, cfg.fmt)
+    emit(report, ns.fmt)
     return EXIT_OK
 
 
@@ -151,13 +133,14 @@ def _verify_one_n(args):
     return n, count, per_i, mismatches
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    nmax = cfg.nmax if cfg.nmax is not None else 8
+def cmd_verify(ns) -> int:
+    nmax = ns.nmax
     if nmax < 3 or nmax > 12:
         raise CliError(EXIT_INVALID, "verify supports 3 <= nmax <= 12")
-    tasks = [(n, cfg.cache_cap) for n in range(3, nmax + 1)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    tasks = [(n, ns.cache_cap) for n in range(3, nmax + 1)]
+    if ns.threads > 1:
+        # the executor starts all its workers at once: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(ns.threads, len(tasks))) as pool:
             results = list(pool.map(_verify_one_n, tasks))
     else:
         results = [_verify_one_n(t) for t in tasks]
@@ -186,17 +169,17 @@ def cmd_verify(cfg: RunConfig) -> int:
               for i, c in sorted(per_i.items())]
     lines.append("all degrees match 2^(internal triangles)" if not mismatches
                  else f"{len(mismatches)} MISMATCHES")
-    emit(report, cfg.fmt, lines)
+    emit(report, ns.fmt, lines)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    data = load_input(cfg.path)
+def cmd_oracle(ns) -> int:
+    data = load_input(ns.file)
     problem = triangulation_to_problem(data) if isinstance(data, Triangulation) else data
     try:
         fc = numeric_degree(
-            problem, seed=cfg.seed, unknown_limit=max(6, cfg.nmax or 0),
-            path_cap=cfg.paths,
+            problem, seed=ns.seed, unknown_limit=max(6, ns.nmax or 0),
+            path_cap=ns.paths,
         )
     except PathBudgetError as exc:
         print(json.dumps({"error": str(exc)}))
@@ -204,13 +187,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise CliError(EXIT_INVALID, str(exc))
     report = fc.to_json()
-    engine_degree = Engine(cache_cap=cfg.cache_cap).degree(problem)
+    engine_degree = Engine(cache_cap=ns.cache_cap).degree(problem)
     report["engine_degree"] = engine_degree
     report["agrees"] = (fc.count == engine_degree) and not fc.inconclusive
     lines = [f"fiber count {fc.count} (trials {list(fc.trial_counts)})",
              f"engine degree {engine_degree}",
              "agrees" if report["agrees"] else "DISAGREES or inconclusive"]
-    emit(report, cfg.fmt, lines)
+    emit(report, ns.fmt, lines)
     if fc.inconclusive:
         return EXIT_INCONCLUSIVE
     if fc.count != engine_degree:
@@ -218,29 +201,27 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise CliError(EXIT_INVALID, "search requires --n")
-    out = cfg.out or "cn_results.jsonl"
-    if cfg.resume:
+def cmd_search(ns) -> int:
+    out = ns.out
+    if ns.resume:
         try:
             recorded = load_results(out)
         except ResultsFileError as exc:
             raise CliError(EXIT_PARSE, str(exc))
         for r in recorded:
-            if r.n == cfg.n and r.mode == cfg.mode:
+            if r.n == ns.n and r.mode == ns.mode:
                 report = r.to_json()
                 report["resumed"] = True
-                emit(report, cfg.fmt)
+                emit(report, ns.fmt)
                 return EXIT_OK
-    engine = Engine(cache_cap=cfg.cache_cap)
+    engine = Engine(cache_cap=ns.cache_cap)
     try:
-        if cfg.mode == "exhaustive":
-            result = exhaustive_cn(cfg.n, engine=engine,
-                                   max_n=max(7, cfg.nmax or 0))
+        if ns.mode == "exhaustive":
+            result = exhaustive_cn(ns.n, engine=engine,
+                                   max_n=max(7, ns.nmax or 0))
         else:
-            result = heuristic_cn(cfg.n, budget=cfg.budget or 200_000,
-                                  seed=cfg.seed, engine=engine)
+            result = heuristic_cn(ns.n, budget=ns.budget,
+                                  seed=ns.seed, engine=engine)
     except ValueError as exc:
         raise CliError(EXIT_INVALID, str(exc))
     append_result(out, result)
@@ -250,7 +231,7 @@ def cmd_search(cfg: RunConfig) -> int:
              f" ({'certified' if result.certified else 'lower bound'})",
              f"witnesses: {len(result.witnesses)}, evaluations: {result.evaluations}",
              f"appended to {out}"]
-    emit(report, cfg.fmt, lines)
+    emit(report, ns.fmt, lines)
     return EXIT_OK
 
 
@@ -272,16 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree", help="exact degree of a problem/triangulation file")
     p.add_argument("file", help="JSON file (or bundled fixture name)")
+    p.set_defaults(handler=cmd_degree)
 
     p = sub.add_parser("verify", help="check degree == 2^(internal triangles) "
                                       "for all triangulations up to --nmax")
     p.add_argument("--nmax", type=int, default=8)
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("oracle", help="numeric fiber count of a problem file")
     p.add_argument("file", help="JSON file (or bundled fixture name)")
     p.add_argument("--paths", type=int, default=4096, help="path budget")
     p.add_argument("--nmax", type=int, default=None,
                    help="raise the unknown-count limit (default 6)")
+    p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("search", help="extremal degree search at fixed n")
     p.add_argument("--n", type=int, required=True)
@@ -294,35 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON-lines persistence file")
     p.add_argument("--resume", action="store_true",
                    help="reuse a recorded result for this n and mode")
+    p.set_defaults(handler=cmd_search)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        path=getattr(ns, "file", None),
-        seed=ns.seed,
-        threads=ns.threads,
-        nmax=getattr(ns, "nmax", None),
-        budget=getattr(ns, "budget", None),
-        paths=getattr(ns, "paths", 4096),
-        fmt=ns.fmt,
-        resume=getattr(ns, "resume", False),
-        cache_cap=ns.cache_cap,
-        mode=getattr(ns, "mode", None),
-        n=getattr(ns, "n", None),
-        out=getattr(ns, "out", None),
-    )
-    handlers = {
-        "degree": cmd_degree,
-        "verify": cmd_verify,
-        "oracle": cmd_oracle,
-        "search": cmd_search,
-    }
     try:
-        return handlers[cfg.subcommand](cfg)
+        return ns.handler(ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -21,6 +21,10 @@ jointly cover six, the degree is twice the product of the three side
 degrees.  Both are optional so that their identities can be tested
 against the bare recursion.
 
+The recursion runs on the compact form of `instance`: the entry point
+builds it with `compact_form`, and every side configuration, of a split
+or of either shortcut, is built by `side_form`.
+
 Zeros need no separate test: the recursion already returns 0 on every
 configuration with a label-deficient sub-collection.  `surplus_violated`
 (in `surplus`) is the certificate API that names such a sub-collection;
@@ -38,7 +42,7 @@ from .instance import (
     DegreeInstance,
     as_instance,
     bits_of,
-    compact_aligned,
+    side_form,
 )
 
 __all__ = [
@@ -152,31 +156,17 @@ def _partitions(m, masks, s1):
     yield from rec(p1, p2, free0, c1_0, c2_0)
 
 
-def _build_side(masks, s1, a_mask):
-    """Compact side instance on the labels of a_mask plus a synthetic mark."""
-    abits = bits_of(a_mask)
-    pos = {b: i for i, b in enumerate(abits)}
-    star = 1 << len(abits)
+def _side(m, masks, a):
+    """Compact side a of a split at quad 0: the quads meeting a in 3 or
+    more labels, a quad with 3 carrying the synthetic mark on bit m."""
+    star = 1 << m
     out = []
-    for j, q in enumerate(masks):
-        if j == s1:
-            continue
-        inter = q & a_mask
+    for q in masks[1:]:
+        inter = q & a
         c = inter.bit_count()
-        if c < 3:
-            continue
-        nm = sum(1 << pos[b] for b in bits_of(inter))
-        if c == 3:
-            nm |= star
-        out.append(nm)
-    return len(abits) + 1, tuple(sorted(out))
-
-
-def _side_compact(masks, idxs, label_mask):
-    lbits = bits_of(label_mask)
-    pos = {b: i for i, b in enumerate(lbits)}
-    qs = tuple(sorted(sum(1 << pos[b] for b in bits_of(masks[j])) for j in idxs))
-    return len(lbits), qs
+        if c >= 3:
+            out.append(inter if c == 4 else inter | star)
+    return side_form(out, a | star)
 
 
 def _find_three_cut(m, masks):
@@ -309,10 +299,8 @@ class Engine:
         self.nodes = 0
 
     def degree(self, inst) -> int:
-        if isinstance(inst, CrossRatioProblem):
-            inst = inst.instance()
-        m, masks, _ = inst.compact()
-        return self._degree(m, masks)
+        m, masks, _ = as_instance(inst).compact()
+        return self._degree(m, tuple(sorted(masks)))
 
     def _degree(self, m, masks) -> int:
         if m <= 4:
@@ -340,10 +328,11 @@ class Engine:
                 c_mask, x_mask, y_mask, x_idx, y_idx, valid = tc
                 if not valid:
                     return 0
-                dx = self._degree(*_side_compact(masks, x_idx, c_mask | x_mask))
+                dx = self._degree(*side_form([masks[j] for j in x_idx], c_mask | x_mask))
                 if dx == 0:
                     return 0
-                return dx * self._degree(*_side_compact(masks, y_idx, c_mask | y_mask))
+                return dx * self._degree(
+                    *side_form([masks[j] for j in y_idx], c_mask | y_mask))
         if self.use_double_cut:
             dc = _find_double_cut(m, masks)
             if dc is not None:
@@ -354,17 +343,17 @@ class Engine:
                 for s in range(3):
                     idxs = (tri[s],) + side_idx[s]
                     total *= self._degree(
-                        *_side_compact(masks, idxs, side_mask[s] | masks[tri[s]])
+                        *side_form([masks[j] for j in idxs], side_mask[s] | masks[tri[s]])
                     )
                     if total == 0:
                         return 0
                 return total
         total = 0
         for a1, a2 in _partitions(m, masks, 0):
-            d1 = self._degree(*_build_side(masks, 0, a1))
+            d1 = self._degree(*_side(m, masks, a1))
             if d1 == 0:
                 continue
-            total += d1 * self._degree(*_build_side(masks, 0, a2))
+            total += d1 * self._degree(*_side(m, masks, a2))
         return total
 
 
@@ -390,7 +379,7 @@ class DoubleCut:
 
 def three_cut(inst) -> ThreeCut | None:
     inst = as_instance(inst)
-    m, masks, order = compact_aligned(inst)
+    m, masks, order = inst.compact()
     tc = _find_three_cut(m, masks)
     if tc is None:
         return None
@@ -408,7 +397,7 @@ def three_cut(inst) -> ThreeCut | None:
 
 def double_cut(inst) -> DoubleCut | None:
     inst = as_instance(inst)
-    m, masks, order = compact_aligned(inst)
+    m, masks, order = inst.compact()
     dc = _find_double_cut(m, masks)
     if dc is None:
         return None

@@ -4,7 +4,10 @@ A configuration on labels 1..n is a multiset of n-3 quadruples of labels.
 The general instance type allows an arbitrary finite label set (including
 the synthetic marks created by the splitting recursion); internally the
 engine works on a compact form with labels renumbered 0..m-1 and each
-quadruple packed into an int bitmask.
+quadruple packed into an int bitmask.  `compact_form` is the one place
+that turns labels into bits, and `side_form` the one place that builds
+the compact form of a side configuration (a recursion side, a three-cut
+side or a double-cut side) from the bits of its parent.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import Hashable
 Label = Hashable
 Quad = frozenset
 
-__all__ = ["Label", "Quad", "CrossRatioProblem", "DegreeInstance", "label_key"]
+__all__ = ["Label", "Quad", "CrossRatioProblem", "DegreeInstance", "label_key",
+           "compact_form", "side_form"]
 
 
 def label_key(lab: Label):
@@ -82,13 +86,8 @@ class DegreeInstance:
         object.__setattr__(self, "quads", quads)
 
     def compact(self) -> tuple[int, tuple[int, ...], list]:
-        """(m, quad bitmasks, index -> label) with labels renumbered 0..m-1."""
-        order = sorted(self.labels, key=label_key)
-        idx = {lab: i for i, lab in enumerate(order)}
-        masks = tuple(
-            sorted(sum(1 << idx[x] for x in q) for q in self.quads)
-        )
-        return len(order), masks, order
+        """compact_form of this instance: masks[j] is the bitmask of quads[j]."""
+        return compact_form(self.labels, self.quads)
 
 
 def as_instance(inst) -> DegreeInstance:
@@ -97,12 +96,20 @@ def as_instance(inst) -> DegreeInstance:
     return inst
 
 
-def compact_aligned(inst: DegreeInstance):
-    # masks aligned with inst.quads order, so indices refer to that tuple
-    order = sorted(inst.labels, key=label_key)
+def compact_form(labels, quads) -> tuple[int, tuple[int, ...], list]:
+    """(m, quad bitmasks in the given quad order, index -> label).
+
+    Labels are renumbered 0..m-1 in label_key order.
+    """
+    order = sorted(labels, key=label_key)
     pos = {lab: i for i, lab in enumerate(order)}
-    masks = tuple(sum(1 << pos[x] for x in q) for q in inst.quads)
-    return len(order), masks, order
+    return len(order), tuple(sum(1 << pos[x] for x in q) for q in quads), order
+
+
+def side_form(masks, label_mask: int) -> tuple[int, tuple[int, ...]]:
+    """(m, sorted masks) of quads on the bits of label_mask, renumbered in order."""
+    pos = {b: i for i, b in enumerate(bits_of(label_mask))}
+    return len(pos), tuple(sorted(sum(1 << pos[b] for b in bits_of(q)) for q in masks))
 
 
 def bits_of(mask: int) -> list[int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .instance import as_instance, bits_of, compact_aligned
+from .instance import as_instance, bits_of
 
 __all__ = ["find_violation", "surplus_violated"]
 
@@ -87,5 +87,5 @@ def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def surplus_violated(inst) -> tuple[int, ...] | None:
     """Indices (into inst.quads) of a vanishing certificate, or None."""
-    m, masks, _ = compact_aligned(as_instance(inst))
+    m, masks, _ = as_instance(inst).compact()
     return find_violation(m, masks)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import _partitions
-from .instance import CrossRatioProblem, DegreeInstance, bits_of, label_key
+from .instance import as_instance, bits_of, compact_form, label_key
 
 __all__ = ["MarkedTree", "TreeEdge", "contributing_trees"]
 
@@ -56,10 +56,8 @@ class MarkedTree:
 
 def _splits_of(labels: frozenset, quads, s1):
     """Admissible (A1, A2) label splits at quad position s1."""
-    order = sorted(labels, key=label_key)
-    pos = {lab: i for i, lab in enumerate(order)}
-    masks = [sum(1 << pos[x] for x in q) for _, q in quads]
-    for a1, a2 in _partitions(len(order), masks, s1):
+    m, masks, order = compact_form(labels, [q for _, q in quads])
+    for a1, a2 in _partitions(m, masks, s1):
         yield (frozenset(order[i] for i in bits_of(a1)),
                frozenset(order[i] for i in bits_of(a2)))
 
@@ -111,9 +109,7 @@ def contributing_trees(inst, max_labels: int = 9) -> tuple[MarkedTree, ...]:
 
     The expansion is exponential in the label count, hence the cap.
     """
-    if isinstance(inst, CrossRatioProblem):
-        inst = inst.instance()
-    assert isinstance(inst, DegreeInstance)
+    inst = as_instance(inst)
     if len(inst.labels) > max_labels:
         raise ValueError(
             f"{len(inst.labels)} labels exceed the tree expansion cap {max_labels}"

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 INFINITY = complex(math.inf, 0.0)
+TRIALS = 3  # independent target draws per numeric_degree call
 
 
 class PathBudgetError(RuntimeError):
@@ -155,19 +156,16 @@ def _linear_form(label: int, chart: Chart, nv: int):
     return 0j, vec
 
 
-def build_system(problem: CrossRatioProblem, targets, chart: Chart | None = None
-                 ) -> CrossRatioSystem:
-    """Assemble the cleared square system for the given targets."""
-    if chart is None:
-        chart = default_chart(problem)
+def build_system(problem: CrossRatioProblem, targets) -> CrossRatioSystem:
+    """Assemble the cleared square system for the given targets, in the
+    default chart of the problem."""
+    chart = default_chart(problem)
     targets = tuple(targets)
     if len(targets) != len(problem.quads):
         raise ValueError("need one target per quad")
     if sorted(t.quad for t in targets) != sorted(tuple(sorted(q)) for q in problem.quads):
         raise ValueError("targets do not match the problem's quads")
     nv = len(chart.unknowns)
-    if nv != problem.n - 3:
-        raise ValueError("chart must pin exactly three labels of the problem")
     k = len(targets)
     C = np.zeros(k, dtype=complex)
     L = np.zeros((k, nv), dtype=complex)
@@ -358,11 +356,11 @@ def _near_degenerate(z, tol=1e-4) -> bool:
     return False
 
 
-def _trial_count(problem, chart, values, seed, path_cap):
+def _trial_count(problem, values, seed, path_cap):
     targets = tuple(
         Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
     )
-    system = build_system(problem, targets, chart)
+    system = build_system(problem, targets)
     results = solve_total_degree(system, seed=seed, path_cap=path_cap)
 
     accepted = []
@@ -391,7 +389,7 @@ def _trial_count(problem, chart, values, seed, path_cap):
         if bad:
             diverged += 1
             continue
-        pts = chart.points(problem.n, np.array(z))
+        pts = system.chart.points(problem.n, np.array(z))
         ok = all(
             abs(cross_ratio(*(pts[lab] for lab in t.quad)) - t.value) < 1e-8
             for t in targets
@@ -418,10 +416,10 @@ def _trial_count(problem, chart, values, seed, path_cap):
     return len(reps), len(results), len(accepted), diverged, failed, min_sep, multiple
 
 
-def numeric_degree(problem: CrossRatioProblem, seed: int = 1729, trials: int = 3,
-                   unknown_limit: int = 6, path_cap: int = 4096,
-                   chart: Chart | None = None) -> FiberCount:
-    """Count a generic fiber numerically; majority over independent trials.
+def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
+                   unknown_limit: int = 6, path_cap: int = 4096) -> FiberCount:
+    """Count a generic fiber numerically; majority over TRIALS independent
+    target draws.
 
     The run is flagged inconclusive when the trials disagree, when an
     unexplained path failure rate exceeds 5 percent, or when endpoints
@@ -432,19 +430,17 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729, trials: int = 3
     nv = problem.n - 3
     if nv > unknown_limit:
         raise ValueError(f"{nv} unknowns exceed the limit {unknown_limit}")
-    if chart is None:
-        chart = default_chart(problem)
     rng = np.random.default_rng(seed)
 
     counts = []
     tracked = conv = div = fail = 0
     min_sep = math.inf
     reasons = []
-    for t in range(trials):
+    for t in range(TRIALS):
         values = [_draw_value(rng) for _ in problem.quads]
         tseed = int(rng.integers(0, 2**31))
         c, n_tracked, n_acc, n_div, n_fail, sep, multiple = _trial_count(
-            problem, chart, values, tseed, path_cap
+            problem, values, tseed, path_cap
         )
         counts.append(c)
         tracked += n_tracked

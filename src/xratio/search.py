@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .engine import CrossRatioProblem, Engine, canonical_key, normalize
+from .engine.instance import compact_form
 from .polygon import (
     inscribed_polygon_triangulation,
     random_triangulation,
@@ -36,11 +37,15 @@ __all__ = [
 ]
 
 # Best degrees from recorded searches (exact where the exhaustive range
-# certifies them, lower bounds beyond).
+# certifies them, lower bounds beyond).  n = 11..14 are reached by
+# heuristic_cn(n, budget=1500, seed=1729); tests/test_search.py keeps one
+# witness of each.
 RECORDS = {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 4, 9: 6, 10: 10,
-           11: 13, 12: 20, 13: 28, 14: 41}
+           11: 15, 12: 22, 13: 34, 14: 51}
 EXHAUSTIVE_CERTIFIED = 6
 WITNESS_CAP = 64
+SIDEWAYS_CAP = 40  # equal-degree moves accepted in a row by heuristic_cn
+STALL_CAP = 300    # rejected moves before heuristic_cn restarts a climb
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,11 @@ def exhaustive_cn(n: int, engine: Engine | None = None, max_n: int = 7) -> Searc
     eng = engine or Engine()
     t0 = time.perf_counter()
     all_quads = [frozenset(c) for c in combinations(range(1, n + 1), 4)]
-    pos = {lab: i for i, lab in enumerate(range(1, n + 1))}
     tracker = _Tracker()
     seen: set = set()
     evals = 0
     for combo in combinations_with_replacement(all_quads, n - 3):
-        masks = tuple(sorted(sum(1 << pos[x] for x in q) for q in combo))
-        key = canonical_key(n, masks)
+        key = canonical_key(*compact_form(range(1, n + 1), combo)[:2])
         if key in seen:
             continue
         seen.add(key)
@@ -185,15 +188,14 @@ def _mutate(state: list, all_quads, rng: random.Random) -> list:
 
 
 def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
-                 engine: Engine | None = None, sideways_cap: int = 40,
-                 stall_cap: int = 300) -> SearchResult:
+                 engine: Engine | None = None) -> SearchResult:
     """Budgeted multi-restart hill climbing; result is a lower bound.
 
     Restart points alternate between triangulation-induced configurations
     (the inscribed construction first, so the triangulation lower bound
     2**(floor(n/2) - 2) always holds for n >= 6) and random quad sets.
     A move replaces one quad; equal-degree moves are accepted up to
-    sideways_cap in a row, and a climb restarts after stall_cap rejected
+    SIDEWAYS_CAP in a row, and a climb restarts after STALL_CAP rejected
     moves.  The budget counts engine evaluations.
     """
     if n < 6:
@@ -230,7 +232,7 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
         first = False
         d = evaluate(state)
         sideways = stalls = 0
-        while evals < budget and stalls < stall_cap:
+        while evals < budget and stalls < STALL_CAP:
             cand = _mutate(state, all_quads, rng)
             if cand == state:
                 stalls += 1
@@ -239,7 +241,7 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
             if d2 > d:
                 state, d = cand, d2
                 sideways = stalls = 0
-            elif d2 == d and d2 > 0 and sideways < sideways_cap:
+            elif d2 == d and d2 > 0 and sideways < SIDEWAYS_CAP:
                 state, d = cand, d2
                 sideways += 1
             else:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from xratio import cli
 from xratio.cli import main
 
 
@@ -206,3 +207,28 @@ def test_verify_threads_match_serial(capsys):
     assert code1 == code2 == 0
     assert rep1["per_n"] == rep2["per_n"]
     assert rep1["per_internal_count"] == rep2["per_internal_count"]
+
+
+def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch):
+    # a stand-in executor: records its size and maps serially, so no
+    # process is started whatever --threads asks for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, rep = run_json(capsys, "--threads", "1000", "verify", "--nmax", "5")
+    assert code == 0
+    assert sizes == [3]
+    assert rep["per_n"] == {"3": 1, "4": 2, "5": 5}

@@ -317,6 +317,50 @@ def test_inscribed_32_degree_in_bounded_time():
     assert time.perf_counter() - t0 < 10
 
 
+def zigzag_problem(n):
+    """Triangulation with diagonals (2,n),(3,n),(3,n-1),(4,n-1),...: every
+    triangle has a polygon side, so the degree is 1."""
+    diags = []
+    lo, hi = 2, n
+    while len(diags) < n - 3:
+        diags.append((lo, hi))
+        if len(diags) % 2:
+            lo += 1
+        else:
+            hi -= 1
+    return triangulation_to_problem(Triangulation(n, tuple(diags)))
+
+
+CHAIN_BLOCK = ((1, 2, 4, 7), (1, 3, 5, 8), (2, 3, 6, 8), (4, 5, 6, 7), (1, 6, 7, 8))
+
+
+def chain_problem(copies):
+    """Copies of the degree-2 block CHAIN_BLOCK on 8 labels, each copy's
+    labels 1, 2, 3 glued to the previous copy's 6, 7, 8."""
+    quads = tuple(frozenset(x + 5 * c for x in q)
+                  for c in range(copies) for q in CHAIN_BLOCK)
+    return CrossRatioProblem(5 * copies + 3, quads)
+
+
+def test_zigzag_40_degree_in_bounded_time():
+    # the three-cut splits the zigzag label by label; the bare recursion
+    # grows about 2.3x per 2 labels and takes 10 s already at n=34
+    p = zigzag_problem(40)
+    t0 = time.perf_counter()
+    assert Engine().degree(p) == 1
+    assert time.perf_counter() - t0 < 10
+
+
+def test_chain_of_six_blocks_degree_in_bounded_time():
+    # the three-cut factors the chain at every glued triple; without it
+    # five copies take seconds and each further copy about 10x more
+    assert Engine(use_three_cut=False).degree(chain_problem(1)) == 2
+    p = chain_problem(6)
+    t0 = time.perf_counter()
+    assert Engine().degree(p) == 64
+    assert time.perf_counter() - t0 < 10
+
+
 def test_three_cut_on_pentagon():
     p = CrossRatioProblem(5, ({5, 1, 2, 3}, {2, 3, 4, 5}))
     tc = three_cut(p)

@@ -1,6 +1,9 @@
 import pytest
 
+from oracles import split_degree
 from xratio import (
+    CrossRatioProblem,
+    Engine,
     bound_report,
     closed_formula_degree,
     degree,
@@ -48,6 +51,30 @@ def test_lower_bound_is_constructive():
 def test_records_match_exhaustive_range():
     for n in (3, 4, 5, 6):
         assert RECORDS[n] == exhaustive_cn(n).best_degree
+
+
+# one witness per n, found by heuristic_cn(n, budget=1500, seed=1729)
+RECORD_WITNESSES = {
+    11: [[1, 2, 3, 6], [1, 2, 4, 5], [2, 3, 7, 8], [3, 8, 9, 10], [4, 5, 7, 9],
+         [4, 5, 10, 11], [6, 7, 8, 11], [6, 9, 10, 11]],
+    12: [[1, 2, 3, 12], [1, 4, 5, 12], [2, 3, 4, 8], [2, 3, 6, 9], [4, 6, 7, 11],
+         [5, 7, 9, 10], [5, 9, 11, 12], [6, 7, 8, 10], [8, 10, 11, 12]],
+    13: [[1, 2, 4, 6], [1, 2, 7, 10], [1, 3, 4, 5], [2, 3, 8, 11], [3, 7, 9, 12],
+         [4, 7, 10, 13], [5, 6, 8, 9], [5, 8, 11, 13], [6, 11, 12, 13],
+         [9, 10, 12, 13]],
+    14: [[1, 2, 3, 4], [1, 2, 5, 8], [1, 3, 6, 7], [2, 5, 9, 13], [3, 7, 12, 13],
+         [4, 5, 6, 14], [4, 9, 10, 11], [6, 7, 10, 14], [8, 9, 12, 14],
+         [8, 11, 12, 13], [10, 11, 13, 14]],
+}
+
+
+def test_records_have_certified_witnesses():
+    bare = Engine(use_three_cut=False, use_double_cut=False)
+    for n, quads in RECORD_WITNESSES.items():
+        assert split_degree(range(1, n + 1), quads) == RECORDS[n], n
+        p = CrossRatioProblem(n, tuple(frozenset(q) for q in quads))
+        assert bare.degree(p) == RECORDS[n], n
+        assert bound_report(n).record == RECORDS[n], n
 
 
 def test_exhaustive_small():
