@@ -24,14 +24,12 @@ from .engine import CrossRatioProblem, Engine
 from .oracle import PathBudgetError, numeric_degree
 from .polygon import (
     Triangulation,
-    closed_formula_degree,
     enumerate_triangulations,
     internal_triangle_count,
     triangulation_to_problem,
 )
 from .search import (
     ResultsFileError,
-    SearchResult,
     append_result,
     exhaustive_cn,
     heuristic_cn,
@@ -217,8 +215,7 @@ def cmd_search(ns) -> int:
     engine = Engine(cache_cap=ns.cache_cap)
     try:
         if ns.mode == "exhaustive":
-            result = exhaustive_cn(ns.n, engine=engine,
-                                   max_n=max(7, ns.nmax or 0))
+            result = exhaustive_cn(ns.n, engine=engine)
         else:
             result = heuristic_cn(ns.n, budget=ns.budget,
                                   seed=ns.seed, engine=engine)
@@ -272,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "heuristic"), default="heuristic")
     p.add_argument("--budget", type=int, default=200_000,
                    help="engine evaluations for heuristic mode")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="raise the exhaustive cap (default 7)")
     p.add_argument("--out", default="cn_results.jsonl",
                    help="JSON-lines persistence file")
     p.add_argument("--resume", action="store_true",

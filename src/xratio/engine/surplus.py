@@ -17,6 +17,7 @@ a violating U' exists iff for some 3-set R of labels the bipartite graph
 This is a certificate API, not part of the degree path: the splitting
 recursion in `core` already returns 0 on every such input, and
 `surplus_violated` names the sub-collection that explains the zero.
+`search.exhaustive_cn` calls `find_violation` to prune its generation.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from xratio import (
     degree,
     double_cut,
     enumerate_triangulations,
-    exhaustive_cn,
     heuristic_cn,
     internal_triangle_count,
     numeric_degree,
@@ -99,12 +98,11 @@ def test_fan_degree_one():
         check(f"fan triangulation n={n} has degree 1", d == 1, f"got {d}")
 
 
-def test_exhaustive_table():
-    t0 = time.perf_counter()
-    values = {n: exhaustive_cn(n).best_degree for n in (3, 4, 5, 6)}
-    elapsed = time.perf_counter() - t0
-    check("exhaustive maxima for n=3..6 are 1, 1, 1, 2",
-          values == {3: 1, 4: 1, 5: 1, 6: 2}, f"{values}")
+def test_exhaustive_table(exhaustive_results):
+    values = {n: res.best_degree for n, res in exhaustive_results.items()}
+    elapsed = sum(res.elapsed for res in exhaustive_results.values())
+    check("exhaustive maxima for n=3..8 are 1, 1, 1, 2, 2, 4",
+          values == {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 4}, f"{values}")
     check("exhaustive runtime under 1 min", elapsed < 60, f"{elapsed:.1f}s")
 
 
@@ -128,8 +126,9 @@ def test_heuristic_lower_bounds(stretch_results):
         )
 
 
-def test_bound_sandwich(stretch_results):
-    outputs = [exhaustive_cn(6)] + [stretch_results[n] for n in (7, 8, 9, 10)]
+def test_bound_sandwich(exhaustive_results, stretch_results):
+    outputs = ([exhaustive_results[n] for n in (6, 7, 8)]
+               + [stretch_results[n] for n in (7, 8, 9, 10)])
     for res in outputs:
         rep = bound_report(res.n)
         check(

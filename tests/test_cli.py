@@ -113,6 +113,24 @@ def test_search_exhaustive_and_resume(capsys, tmp_path):
     assert len(open(out).read().strip().splitlines()) == 1  # no duplicate
 
 
+def test_search_exhaustive_cap(capsys, tmp_path):
+    out = tmp_path / "runs.jsonl"
+    code, rep = run_json(capsys, "search", "--n", "7",
+                         "--mode", "exhaustive", "--out", str(out))
+    assert code == 0
+    assert (rep["best_degree"], rep["certified"]) == (2, True)
+    out.unlink()
+
+    code, _ = run(capsys, "search", "--n", "10", "--mode", "exhaustive",
+                  "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+    with pytest.raises(SystemExit):  # the exhaustive cap is not an option
+        main(["search", "--n", "8", "--mode", "exhaustive", "--nmax", "8",
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_search_heuristic(capsys, tmp_path):
     out = str(tmp_path / "runs.jsonl")
     code, rep = run_json(capsys, "--seed", "3", "search", "--n", "7",

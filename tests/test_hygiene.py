@@ -1,0 +1,56 @@
+"""Source hygiene: every module of the package uses what it imports.
+
+An AST scan, no import of the package.  A name bound by an import counts
+as used when it is read anywhere in the module (an attribute chain
+`a.b.c` reads `a`) or listed in the module's `__all__`.  Package
+`__init__.py` files are skipped, since their imports are re-exports, and
+so are `from __future__` imports, which bind no name.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "xratio"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [(line, name) for name, line in _imported_names(tree) if name not in used]
+
+
+def test_scan_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport json as js\nfrom a import b, c\n"
+              "from d import e\n__all__ = ['e']\n"
+              "def f():\n    return os.path.join(c)\n")
+    assert unused_imports(source) == [(3, "js"), (4, "b")]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [f"{p.relative_to(SRC.parent)}:{line}: {name}"
+             for p in modules for line, name in unused_imports(p.read_text())]
+    assert found == []

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import split_degree
+from oracles import brute_maximum, reference_key, split_degree
 from xratio import (
     CrossRatioProblem,
     Engine,
@@ -12,7 +12,9 @@ from xratio import (
     inscribed_polygon_triangulation,
     normalize,
 )
+from xratio import search
 from xratio.search import (
+    EXHAUSTIVE_CERTIFIED,
     RECORDS,
     ResultsFileError,
     SearchResult,
@@ -34,7 +36,7 @@ def test_bound_report_table():
         assert rep.lower <= rep.upper
         if rep.record is not None:
             assert rep.lower <= rep.record <= rep.upper, n
-        assert rep.exact == (n <= 6)
+        assert rep.exact == (n <= EXHAUSTIVE_CERTIFIED)
 
 
 def test_bound_report_rejects_tiny_n():
@@ -48,9 +50,9 @@ def test_lower_bound_is_constructive():
         assert closed_formula_degree(t) == bound_report(n).lower
 
 
-def test_records_match_exhaustive_range():
-    for n in (3, 4, 5, 6):
-        assert RECORDS[n] == exhaustive_cn(n).best_degree
+def test_records_match_exhaustive_range(exhaustive_results):
+    for n in range(3, 9):
+        assert RECORDS[n] == exhaustive_results[n].best_degree, n
 
 
 # one witness per n, found by heuristic_cn(n, budget=1500, seed=1729)
@@ -91,7 +93,40 @@ def test_exhaustive_small():
 
 def test_exhaustive_cap():
     with pytest.raises(ValueError):
-        exhaustive_cn(8)
+        exhaustive_cn(10)
+
+
+def test_exhaustive_cap_is_the_certified_range(exhaustive_results, monkeypatch):
+    for n, res in exhaustive_results.items():
+        assert res.certified == bound_report(n).exact, n
+
+    def refuse(*args):
+        raise AssertionError("enumerated above the cap")
+
+    monkeypatch.setattr(search, "find_violation", refuse)
+    monkeypatch.setattr(search, "canonical_key", refuse)
+    with pytest.raises(ValueError, match="exhaustive search covers"):
+        exhaustive_cn(EXHAUSTIVE_CERTIFIED + 1)
+
+
+def test_exhaustive_matches_brute_reference(exhaustive_results):
+    for n in range(3, 7):
+        classes, best, best_keys = brute_maximum(n)
+        res = exhaustive_results[n]
+        assert res.evaluations == classes, n
+        assert res.best_degree == best, n
+        assert {reference_key(n, w.quads) for w in res.witnesses} == best_keys, n
+
+
+def test_exhaustive_golden_n7_n8(exhaustive_results):
+    for n, classes, witnesses in [(7, 26, 5), (8, 405, 4)]:
+        res = exhaustive_results[n]
+        assert res.evaluations == classes, n
+        assert res.best_degree == RECORDS[n], n
+        assert len(res.witnesses) == witnesses, n
+        assert len({reference_key(n, w.quads) for w in res.witnesses}) == witnesses
+        for w in res.witnesses:
+            assert split_degree(range(1, n + 1), w.quads) == RECORDS[n], n
 
 
 def test_heuristic_deterministic():
