@@ -26,7 +26,7 @@ from .oracle import (
     Target,
     build_system,
     cross_ratio,
-    default_chart,
+    matching_bound,
     numeric_degree,
     solve_total_degree,
 )

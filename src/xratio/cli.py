@@ -188,7 +188,10 @@ def cmd_oracle(ns) -> int:
     engine_degree = Engine(cache_cap=ns.cache_cap).degree(problem)
     report["engine_degree"] = engine_degree
     report["agrees"] = (fc.count == engine_degree) and not fc.inconclusive
+    inf_label, zero_label, one_label = fc.chart
     lines = [f"fiber count {fc.count} (trials {list(fc.trial_counts)})",
+             f"paths {fc.paths_tracked}: {fc.bound} per trial, labels "
+             f"{inf_label}/{zero_label}/{one_label} pinned at inf/0/1",
              f"engine degree {engine_degree}",
              "agrees" if report["agrees"] else "DISAGREES or inconclusive"]
     emit(report, ns.fmt, lines)
@@ -259,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numeric fiber count of a problem file")
     p.add_argument("file", help="JSON file (or bundled fixture name)")
-    p.add_argument("--paths", type=int, default=4096, help="path budget")
+    p.add_argument("--paths", type=int, default=4096,
+                   help="path budget: the largest matching bound (paths per trial) to track")
     p.add_argument("--nmax", type=int, default=None,
                    help="raise the unknown-count limit (default 6)")
     p.set_defaults(handler=cmd_oracle)

@@ -3,13 +3,23 @@
 A configuration of k = n-3 quads determines k cross-ratio equations in
 the point positions.  Fixing three labels at (inf, 0, 1) kills the
 Moebius freedom, leaving a square polynomial system in the remaining k
-positions: clearing the denominator of each cross-ratio gives equations
-of degree at most 2 (exactly 1 when the quad contains the label pinned
-at infinity).  For generic targets every fiber point is a nondegenerate
-solution, so tracking all Bezout-many paths of a total-degree homotopy
-and filtering out the non-configurations (coordinate collisions, values
-0/1, infinity) counts the fiber.  The count is repeated for independent
-target draws and cross-checked.
+positions.  Clearing the denominator of a cross-ratio gives an equation
+of degree at most 1 in each unknown, supported on the unknowns of its
+quad.  So the multihomogeneous Bezout number with one group per unknown
+is the permanent of the 0/1 matrix "quad j holds unknown i", the number
+of perfect matchings of quads to unknowns; `matching_bound` pins the
+three labels that make it smallest.
+
+The homotopy (Morgan & Sommese's m-homogeneous homotopy with the gamma
+trick) starts from the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
+with random a_ji, which has the same support and one root per perfect
+matching.  It tracks exactly the bound, and where the bound is tight
+every path ends on a fiber point.  For generic targets every fiber point
+is a nondegenerate solution, so filtering the endpoints against the
+non-configurations (coordinate collisions, values 0/1, infinity) and the
+true cross-ratio values counts the fiber.  The count is repeated for
+independent target draws and cross-checked; the paths of all draws of
+one call are tracked together, as one stacked batch.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -32,7 +42,7 @@ __all__ = [
     "PathResult",
     "FiberCount",
     "PathBudgetError",
-    "default_chart",
+    "matching_bound",
     "build_system",
     "solve_total_degree",
     "numeric_degree",
@@ -40,10 +50,11 @@ __all__ = [
 
 INFINITY = complex(math.inf, 0.0)
 TRIALS = 3  # independent target draws per numeric_degree call
+MAX_STEPS = 3000  # predictor-corrector steps per path
 
 
 class PathBudgetError(RuntimeError):
-    """Raised when the Bezout bound of a system exceeds the path cap."""
+    """Raised when the matching bound of a system exceeds the path cap."""
 
 
 def cross_ratio(pa, pb, pc, pd) -> complex:
@@ -96,18 +107,86 @@ class Chart:
         return {lab: self.position(lab, z) for lab in range(1, n + 1)}
 
 
-def default_chart(problem: CrossRatioProblem) -> Chart:
-    """Pin the busiest label at infinity (its quads turn linear), then the
-    two smallest remaining labels at 0 and 1."""
-    freq = {lab: 0 for lab in range(1, problem.n + 1)}
-    for q in problem.quads:
-        for lab in q:
-            freq[lab] += 1
-    inf_label = max(freq, key=lambda lab: (freq[lab], -lab))
-    rest = [lab for lab in range(1, problem.n + 1) if lab != inf_label]
-    zero_label, one_label = rest[0], rest[1]
-    unknowns = tuple(rest[2:])
-    return Chart(inf_label, zero_label, one_label, unknowns)
+def _permanent(rows: list[int]) -> int:
+    """Permanent of a 0/1 matrix given as one column bitmask per row: a DP,
+    row by row, over the sets of columns the rows so far are matched to."""
+    ways = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for used, w in ways.items():
+            free = row & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                nxt[used | bit] = nxt.get(used | bit, 0) + w
+        if not nxt:
+            return 0
+        ways = nxt
+    return sum(ways.values())
+
+
+def matching_bound(problem: CrossRatioProblem) -> tuple[int, Chart]:
+    """The least permanent, over the C(n,3) pinned label triples, of the
+    0/1 matrix "quad j holds unknown i", and the chart that attains it.
+
+    Every permanent bounds the degree from above, and a permanent of 0
+    means the degree is 0.  Ties go to the first triple in lexicographic
+    order.  Of the pinned labels, the one in the most quads (on a tie,
+    the smaller) goes to infinity, which makes its quads' equations
+    linear, and the other two go to 0 and 1 in ascending order.
+    """
+    masks = [sum(1 << lab for lab in q) for q in problem.quads]
+    bound = triple = None
+    for cand in combinations(range(1, problem.n + 1), 3):
+        pinned = sum(1 << lab for lab in cand)
+        perm = _permanent([m & ~pinned for m in masks])
+        if bound is None or perm < bound:
+            bound, triple = perm, cand
+            if perm == 0:
+                break
+    freq = {lab: sum(lab in q for q in problem.quads) for lab in triple}
+    inf_label = max(triple, key=lambda lab: (freq[lab], -lab))
+    zero_label, one_label = (lab for lab in triple if lab != inf_label)
+    unknowns = tuple(lab for lab in range(1, problem.n + 1) if lab not in triple)
+    return bound, Chart(inf_label, zero_label, one_label, unknowns)
+
+
+def _target_eval(C, L, Q, z):
+    """F = C + L z + z Q z and its Jacobian, for stacked systems:
+    C (P,k), L (P,k,k), Q (P,k,k,k), z (P,k)."""
+    Qz = np.matmul(Q, z[:, None, :, None])[..., 0]
+    zQ = np.matmul(z[:, None, None, :], Q)[..., 0, :]
+    F = C + np.matmul(L + Qz, z[..., None])[..., 0]
+    return F, L + Qz + zQ
+
+
+def _start_eval(A, M, z):
+    """G_j = prod_{i in S_j} (z_i - a_ji) and its Jacobian, for stacked
+    systems: A (P,k,k) holds a_ji, M (P,k,k) marks i in S_j.  Each partial
+    derivative is a prefix times a suffix product along the row, so none
+    divides by a factor that vanishes at a start root."""
+    D = np.where(M, z[:, None, :] - A, 1)
+    lead = np.ones(D.shape[:-1] + (1,), dtype=D.dtype)
+    pre = np.cumprod(np.concatenate([lead, D], axis=-1), axis=-1)
+    suf = np.cumprod(np.concatenate([lead, D[..., ::-1]], axis=-1), axis=-1)[..., -2::-1]
+    return pre[..., -1], np.where(M, pre[..., :-1] * suf, 0)
+
+
+def _solve(H, b):
+    """Solve H[p] x[p] = b[p] for every p.  Returns x and a mask of the
+    systems that could be solved; a singular one is solved alone so it
+    cannot sink the rest."""
+    try:
+        return np.linalg.solve(H, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        good = np.ones(len(b), dtype=bool)
+        for p in range(len(b)):
+            try:
+                x[p] = np.linalg.solve(H[p], b[p])
+            except np.linalg.LinAlgError:
+                good[p] = False
+        return x, good
 
 
 class CrossRatioSystem:
@@ -123,24 +202,24 @@ class CrossRatioSystem:
         self.C = C
         self.L = L
         self.Q = Q
-        self.degrees = tuple(
-            2 if np.any(np.abs(Q[j]) > 0) else (1 if np.any(np.abs(L[j]) > 0) else 0)
-            for j in range(len(targets))
-        )
 
     @property
     def nv(self) -> int:
         return self.L.shape[1]
 
     @property
-    def bezout(self) -> int:
-        return math.prod(self.degrees)
+    def support(self) -> np.ndarray:
+        """Boolean (k, k): unknown i lies in the quad of equation j."""
+        return np.array([[lab in t.quad for lab in self.chart.unknowns]
+                         for t in self.targets], dtype=bool).reshape(len(self.targets), self.nv)
 
     def eval(self, z: np.ndarray) -> np.ndarray:
-        return self.C + self.L @ z + np.einsum("kij,i,j->k", self.Q, z, z)
+        return _target_eval(self.C[None], self.L[None], self.Q[None],
+                            np.asarray(z, dtype=complex)[None])[0][0]
 
     def jac(self, z: np.ndarray) -> np.ndarray:
-        return self.L + np.einsum("kij,j->ki", self.Q, z) + np.einsum("kij,i->kj", self.Q, z)
+        return _target_eval(self.C[None], self.L[None], self.Q[None],
+                            np.asarray(z, dtype=complex)[None])[1][0]
 
 
 def _linear_form(label: int, chart: Chart, nv: int):
@@ -156,10 +235,12 @@ def _linear_form(label: int, chart: Chart, nv: int):
     return 0j, vec
 
 
-def build_system(problem: CrossRatioProblem, targets) -> CrossRatioSystem:
+def build_system(problem: CrossRatioProblem, targets,
+                 chart: Chart | None = None) -> CrossRatioSystem:
     """Assemble the cleared square system for the given targets, in the
-    default chart of the problem."""
-    chart = default_chart(problem)
+    given chart, by default the chart of `matching_bound(problem)`."""
+    if chart is None:
+        chart = matching_bound(problem)[1]
     targets = tuple(targets)
     if len(targets) != len(problem.quads):
         raise ValueError("need one target per quad")
@@ -210,102 +291,176 @@ class PathResult:
     steps: int
 
 
-def _newton_polish(system: CrossRatioSystem, z: np.ndarray, iters: int = 12):
+def _matchings(support: np.ndarray):
+    """Perfect matchings of rows to columns of a 0/1 matrix, by DFS; each
+    is given as the column matched to every row."""
+    k = len(support)
+    cols = [np.flatnonzero(row).tolist() for row in support]
+    used = [False] * support.shape[1]
+    pick = [0] * k
+
+    def extend(j):
+        if j == k:
+            yield tuple(pick)
+            return
+        for i in cols[j]:
+            if not used[i]:
+                used[i] = True
+                pick[j] = i
+                yield from extend(j + 1)
+                used[i] = False
+
+    return extend(0)
+
+
+def _newton_polish(C, L, Q, z, iters: int = 12):
+    live = np.ones(len(z), dtype=bool)
     for _ in range(iters):
-        try:
-            delta = np.linalg.solve(system.jac(z), -system.eval(z))
-        except np.linalg.LinAlgError:
+        sel = np.flatnonzero(live)
+        if not len(sel):
             break
-        z = z + delta
-        if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(z)):
-            break
+        F, J = _target_eval(C[sel], L[sel], Q[sel], z[sel])
+        delta, good = _solve(J, -F)
+        live[sel[~good]] = False
+        sel, delta = sel[good], delta[good]
+        z[sel] += delta
+        small = (np.linalg.norm(delta, axis=1)
+                 < 1e-13 * np.maximum(1.0, np.linalg.norm(z[sel], axis=1)))
+        live[sel[small]] = False
     return z
 
 
-def _track_one(system, sC, sD, gamma, z0, max_steps=3000) -> PathResult:
-    """Track z along (1-t)*gamma*G + t*F from t=0 to 1.
+# codes of a path in the stacked tracker
+_TRACKING, _ARRIVED, _DIVERGED, _FAILED = range(4)
 
-    G is the start system z_i**d_i - c_i, with gradient d_i z_i**(d_i - 1)
-    on the diagonal.  Euler predictor, few-step Newton corrector, step
-    halving on corrector failure.
+
+def _track(C, L, Q, A, M, gamma, z):
+    """Track every row of z along (1-t)*gamma*G + t*F from t=0 to 1.
+
+    Euler predictor, few-step Newton corrector, step halving on corrector
+    failure; each path keeps its own t, step size, success streak and
+    step count, and leaves the working set when it arrives, diverges or
+    fails.  Returns the end points, the codes and the step counts.
     """
-    z = np.array(z0, dtype=complex)
-    t = 0.0
-    dt = 0.05
-    steps = 0
-    streak = 0
+    P = len(z)
+    end_z = z.copy()
+    code = np.full(P, _TRACKING)
+    steps_at_end = np.zeros(P, dtype=int)
+    ids = np.arange(P)
+    t = np.zeros(P)
+    dt = np.full(P, 0.05)
+    streak = np.zeros(P, dtype=int)
+    steps = np.zeros(P, dtype=int)
+    work = [C, L, Q, A, M, gamma]
 
-    def g_eval(zz):
-        return zz ** sD - sC
+    def homotopy(tt, zz):
+        Cw, Lw, Qw, Aw, Mw, gw = work
+        G, JG = _start_eval(Aw, Mw, zz)
+        F, JF = _target_eval(Cw, Lw, Qw, zz)
+        s = (1 - tt) * gw
+        # H_z, H and H_t of H = (1-t)*gamma*G + t*F
+        return (s[:, None, None] * JG + tt[:, None, None] * JF,
+                s[:, None] * G + tt[:, None] * F, F - gw[:, None] * G)
 
-    def g_jac(zz):
-        return np.diag(sD * zz ** (sD - 1))
-
-    while t < 1.0:
+    while len(ids):
         steps += 1
-        if steps > max_steps:
-            return PathResult("failed", tuple(z), float("nan"), steps)
-        dt = min(dt, 1.0 - t)
+        verdict = np.where(steps > MAX_STEPS, _FAILED, _TRACKING)
+        dt = np.minimum(dt, 1.0 - t)
         t1 = t + dt
-        try:
-            Hz = (1 - t) * gamma * g_jac(z) + t * system.jac(z)
-            Ht = system.eval(z) - gamma * g_eval(z)
-            z1 = z + np.linalg.solve(Hz, -Ht * dt)
-            ok = False
-            for _ in range(3):
-                Hz1 = (1 - t1) * gamma * g_jac(z1) + t1 * system.jac(z1)
-                Hval = (1 - t1) * gamma * g_eval(z1) + t1 * system.eval(z1)
-                delta = np.linalg.solve(Hz1, -Hval)
-                z1 = z1 + delta
-                if np.linalg.norm(delta) < 1e-9 * max(1.0, np.linalg.norm(z1)):
-                    ok = True
-                    break
-        except np.linalg.LinAlgError:
-            ok = False
-        if ok:
-            z, t = z1, t1
-            streak += 1
-            if streak >= 4:
-                dt = min(dt * 2, 0.1)
-                streak = 0
-            if np.linalg.norm(z) > 1e8:
-                return PathResult("diverged", tuple(z), float("nan"), steps)
+        Hz, _, Ht = homotopy(t, z)
+        dz, live = _solve(Hz, -Ht * dt[:, None])
+        z1 = z + dz
+        ok = np.zeros(len(ids), dtype=bool)
+        live &= verdict == _TRACKING
+        for _ in range(3):
+            sel = np.flatnonzero(live & ~ok)
+            if not len(sel):
+                break
+            Hz1, Hval, _ = homotopy(t1, z1)
+            delta, good = _solve(Hz1[sel], -Hval[sel])
+            live[sel[~good]] = False
+            sel, delta = sel[good], delta[good]
+            z1[sel] += delta
+            small = (np.linalg.norm(delta, axis=1)
+                     < 1e-9 * np.maximum(1.0, np.linalg.norm(z1[sel], axis=1)))
+            ok[sel[small]] = True
+
+        z = np.where(ok[:, None], z1, z)
+        t = np.where(ok, t1, t)
+        streak = np.where(ok, streak + 1, 0)
+        grow = streak >= 4
+        dt = np.where(grow, np.minimum(dt * 2, 0.1), np.where(ok, dt, dt / 2))
+        streak[grow] = 0
+        big = np.linalg.norm(z, axis=1)
+        tracking = verdict == _TRACKING
+        # a stall with large coordinates is an escape to the boundary (a
+        # cluster leaving the chart), not path loss
+        stalled = tracking & ~ok & (dt < 1e-9)
+        verdict[stalled] = np.where(big[stalled] > 1e3, _DIVERGED, _FAILED)
+        verdict[tracking & ok & (big > 1e8)] = _DIVERGED
+        verdict[tracking & ok & (big <= 1e8) & (t >= 1.0)] = _ARRIVED
+
+        out = verdict != _TRACKING
+        if out.any():
+            end_z[ids[out]] = z[out]
+            code[ids[out]] = verdict[out]
+            steps_at_end[ids[out]] = steps[out]
+            keep = ~out
+            ids, t, dt, streak, steps, z = ids[keep], t[keep], dt[keep], streak[keep], steps[keep], z[keep]
+            work = [w[keep] for w in work]
+    return end_z, code, steps_at_end
+
+
+def solve_total_degree(systems, seeds) -> list[PathResult]:
+    """Track every start root of every system to its target, all paths of
+    all systems as one stacked batch; returns one PathResult per path,
+    system by system.
+
+    The name is historical: the start system is no longer total-degree.
+    For each system, a generator seeded with its seed draws gamma and the
+    random a_ji of the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
+    over the support S_j of equation j.  Its roots, one per perfect
+    matching of equations to unknowns, are the start points.  All systems
+    must have the same number of unknowns.
+    """
+    systems, seeds = list(systems), list(seeds)
+    if len(systems) != len(seeds):
+        raise ValueError("need one seed per system")
+    paths = []  # (system, a_ji, support, gamma, start point)
+    for system, seed in zip(systems, seeds):
+        support = system.support
+        rng = np.random.default_rng(seed)
+        gamma = complex(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+        A = np.where(support, rng.normal(size=support.shape)
+                     + 1j * rng.normal(size=support.shape), 0)
+        for match in _matchings(support):
+            cols = list(match)
+            z0 = np.zeros(system.nv, dtype=complex)
+            z0[cols] = A[range(len(cols)), cols]
+            paths.append((system, A, support, gamma, z0))
+    if not paths:
+        return []
+    owners, A, M, gamma, z = zip(*paths)
+    C = np.array([s.C for s in owners])
+    L = np.array([s.L for s in owners])
+    Q = np.array([s.Q for s in owners])
+    A, M, gamma, z = (np.array(column) for column in (A, M, gamma, z))
+    end_z, code, steps = _track(C, L, Q, A, M, gamma, z)
+
+    arrived = np.flatnonzero(code == _ARRIVED)
+    end_z[arrived] = _newton_polish(C[arrived], L[arrived], Q[arrived], end_z[arrived])
+    F, _ = _target_eval(C[arrived], L[arrived], Q[arrived], end_z[arrived])
+    residual = np.full(len(z), math.nan)
+    residual[arrived] = np.abs(F).max(axis=1, initial=0.0)
+    scale = np.maximum(1.0, np.linalg.norm(end_z, axis=1) ** 2)
+    results = []
+    for p in range(len(z)):
+        if code[p] == _ARRIVED:
+            status = "converged" if residual[p] < 1e-10 * scale[p] else "failed"
         else:
-            streak = 0
-            dt /= 2
-            if dt < 1e-9:
-                # a stall with large coordinates is an escape to the
-                # boundary (a cluster leaving the chart), not path loss
-                if np.linalg.norm(z) > 1e3:
-                    return PathResult("diverged", tuple(z), float("nan"), steps)
-                return PathResult("failed", tuple(z), float("nan"), steps)
-
-    z = _newton_polish(system, z)
-    scale = max(1.0, float(np.linalg.norm(z)) ** 2)
-    residual = float(np.max(np.abs(system.eval(z))))
-    status = "converged" if residual < 1e-10 * scale else "failed"
-    return PathResult(status, tuple(z), residual, steps)
-
-
-def solve_total_degree(system: CrossRatioSystem, seed: int = 1729,
-                       path_cap: int = 4096) -> list[PathResult]:
-    """Track every total-degree start root to the target system."""
-    bez = system.bezout
-    if bez > path_cap:
-        raise PathBudgetError(f"Bezout bound {bez} exceeds path cap {path_cap}")
-    if any(d == 0 for d in system.degrees):
-        raise ValueError("system has a constant equation")
-    rng = np.random.default_rng(seed)
-    gamma = complex(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
-    sC = np.exp(1j * rng.uniform(0, 2 * math.pi, size=system.nv))
-    sD = np.array(system.degrees, dtype=float)
-
-    roots_per_var = []
-    for i, d in enumerate(system.degrees):
-        base = sC[i] ** (1.0 / d)
-        roots_per_var.append([base * cmath.exp(2j * math.pi * j / d) for j in range(d)])
-    starts = [np.array(combo, dtype=complex) for combo in iproduct(*roots_per_var)]
-    return [_track_one(system, sC, sD, gamma, z0) for z0 in starts]
+            status = "diverged" if code[p] == _DIVERGED else "failed"
+        results.append(PathResult(status, tuple(end_z[p]), float(residual[p]), int(steps[p])))
+    return results
 
 
 @dataclass(frozen=True)
@@ -320,12 +475,16 @@ class FiberCount:
     paths_failed: int
     min_separation: float
     inconclusive: bool
+    bound: int                   # paths per trial: the matching bound
+    chart: tuple[int, int, int]  # labels pinned at inf, 0, 1
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {
             "count": self.count,
             "trials": list(self.trial_counts),
+            "bound": self.bound,
+            "chart": list(self.chart),
             "paths_tracked": self.paths_tracked,
             "paths_converged": self.paths_converged,
             "paths_diverged": self.paths_diverged,
@@ -356,13 +515,8 @@ def _near_degenerate(z, tol=1e-4) -> bool:
     return False
 
 
-def _trial_count(problem, values, seed, path_cap):
-    targets = tuple(
-        Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
-    )
-    system = build_system(problem, targets)
-    results = solve_total_degree(system, seed=seed, path_cap=path_cap)
-
+def _trial_count(problem, system, results):
+    targets = system.targets
     accepted = []
     diverged = failed = 0
     for r in results:
@@ -419,28 +573,38 @@ def _trial_count(problem, values, seed, path_cap):
 def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
                    unknown_limit: int = 6, path_cap: int = 4096) -> FiberCount:
     """Count a generic fiber numerically; majority over TRIALS independent
-    target draws.
+    target draws, all tracked in the chart of `matching_bound`.
 
     The run is flagged inconclusive when the trials disagree, when an
     unexplained path failure rate exceeds 5 percent, or when endpoints
-    collide (a non-reduced fiber).  Raises PathBudgetError if the Bezout
-    bound of a trial exceeds path_cap, and ValueError when the system has
+    collide (a non-reduced fiber).  Raises PathBudgetError if the
+    matching bound exceeds path_cap, and ValueError when the system has
     more than unknown_limit unknowns.
     """
     nv = problem.n - 3
     if nv > unknown_limit:
         raise ValueError(f"{nv} unknowns exceed the limit {unknown_limit}")
+    bound, chart = matching_bound(problem)
+    if bound > path_cap:
+        raise PathBudgetError(f"matching bound {bound} exceeds path cap {path_cap}")
     rng = np.random.default_rng(seed)
+    systems, seeds = [], []
+    for _ in range(TRIALS):
+        values = [_draw_value(rng) for _ in problem.quads]
+        seeds.append(int(rng.integers(0, 2**31)))
+        targets = tuple(
+            Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
+        )
+        systems.append(build_system(problem, targets, chart))
+    results = solve_total_degree(systems, seeds)
 
     counts = []
     tracked = conv = div = fail = 0
     min_sep = math.inf
     reasons = []
-    for t in range(TRIALS):
-        values = [_draw_value(rng) for _ in problem.quads]
-        tseed = int(rng.integers(0, 2**31))
+    for t, system in enumerate(systems):
         c, n_tracked, n_acc, n_div, n_fail, sep, multiple = _trial_count(
-            problem, values, tseed, path_cap
+            problem, system, results[t * bound:(t + 1) * bound]
         )
         counts.append(c)
         tracked += n_tracked
@@ -467,5 +631,7 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
         paths_failed=fail,
         min_separation=min_sep,
         inconclusive=bool(reasons),
+        bound=bound,
+        chart=(chart.inf_label, chart.zero_label, chart.one_label),
         reasons=tuple(reasons),
     )

@@ -251,8 +251,8 @@ def test_large_numeric_fiber_count():
                         path_cap=4096)
     elapsed = time.perf_counter() - t0
     check(
-        "13-gon numeric fiber count is 8, or flagged inconclusive",
-        fc.count == 8 or fc.inconclusive,
+        "13-gon numeric fiber count is a conclusive 8 over 24 paths",
+        fc.count == 8 and not fc.inconclusive and fc.paths_tracked == 24,
         f"count {fc.count}, inconclusive={fc.inconclusive}, "
         f"trials {list(fc.trial_counts)}, {fc.paths_tracked} paths",
     )

@@ -78,6 +78,16 @@ def test_oracle_snowflake_agrees(capsys):
     assert rep["inconclusive"] is False
 
 
+def test_oracle_reports_bound_and_chart(capsys):
+    code, rep = run_json(capsys, "--seed", "5", "oracle", "snowflake.json")
+    assert code == 0
+    assert (rep["bound"], rep["paths_tracked"]) == (2, 6)
+    assert len(set(rep["chart"])) == 3
+    code, out = run(capsys, "--seed", "5", "--format", "table", "oracle", "snowflake.json")
+    assert code == 0
+    assert "paths 6: 2 per trial, labels " in out
+
+
 def test_oracle_vanishing(capsys):
     code, rep = run_json(capsys, "--seed", "7", "oracle", "surplus_violating.json")
     assert code == 0

@@ -1,16 +1,19 @@
-"""Source hygiene: every module of the package uses what it imports.
+"""Source hygiene: every module of the package uses what it imports, and
+every function the benchmark's tracer wraps exists.
 
-An AST scan, no import of the package.  A name bound by an import counts
-as used when it is read anywhere in the module (an attribute chain
-`a.b.c` reads `a`) or listed in the module's `__all__`.  Package
-`__init__.py` files are skipped, since their imports are re-exports, and
-so are `from __future__` imports, which bind no name.
+The import check is an AST scan, no import of the package.  A name
+bound by an import counts as used when it is read anywhere in the module
+(an attribute chain `a.b.c` reads `a`) or listed in the module's
+`__all__`.  Package `__init__.py` files are skipped, since their imports
+are re-exports, and so are `from __future__` imports, which bind no name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "xratio"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "xratio"
 
 
 def _imported_names(tree):
@@ -54,3 +57,15 @@ def test_package_has_no_unused_imports():
     found = [f"{p.relative_to(SRC.parent)}:{line}: {name}"
              for p in modules for line, name in unused_imports(p.read_text())]
     assert found == []
+
+
+def test_tracer_layer_functions_resolve():
+    # bench/tracer.py wraps these by name; a rename would silently break --trace 1
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+    assert layers
+    missing = [f"{modname}.{fname}" for _, modname, fnames in layers for fname in fnames
+               if not callable(getattr(importlib.import_module(modname), fname, None))]
+    assert missing == []

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import brute_vanishes, random_problem
 from xratio import (
     INFINITY,
     CrossRatioProblem,
@@ -12,14 +13,18 @@ from xratio import (
     Target,
     Triangulation,
     build_system,
+    closed_formula_degree,
     cross_ratio,
-    default_chart,
     degree,
+    enumerate_triangulations,
     inscribed_polygon_triangulation,
+    matching_bound,
     numeric_degree,
+    random_triangulation,
     solve_total_degree,
     triangulation_to_problem,
 )
+from xratio.oracle import TRIALS, _solve, _start_eval
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 
@@ -76,17 +81,18 @@ def test_cross_ratio_permutation_identities():
         assert abs(cross_ratio(a, c, b, d) - (1 - lam)) < 1e-10
 
 
-def test_default_chart_snowflake():
-    chart = default_chart(SNOWFLAKE)
-    assert chart.inf_label == 1
-    assert chart.zero_label == 2
-    assert chart.one_label == 3
-    assert chart.unknowns == (4, 5, 6)
+def test_matching_bound_chart_snowflake():
+    bound, chart = matching_bound(SNOWFLAKE)
+    pinned = (chart.inf_label, chart.zero_label, chart.one_label)
+    assert len(set(pinned)) == 3
+    assert chart.unknowns == tuple(lab for lab in range(1, 7) if lab not in pinned)
     z = np.array([4j, 5j, 6j])
-    assert chart.position(1, z) == INFINITY
-    assert chart.position(2, z) == 0
-    assert chart.position(3, z) == 1
-    assert chart.position(5, z) == 5j
+    assert chart.position(chart.inf_label, z) == INFINITY
+    assert chart.position(chart.zero_label, z) == 0
+    assert chart.position(chart.one_label, z) == 1
+    assert chart.position(chart.unknowns[1], z) == 5j
+    assert build_system(SNOWFLAKE, (Target(tuple(sorted(q)), 2j)
+                                    for q in SNOWFLAKE.quads)).chart == chart
 
 
 def test_system_degrees_linear_fan():
@@ -94,15 +100,15 @@ def test_system_degrees_linear_fan():
     p = CrossRatioProblem(5, ({5, 1, 2, 3}, {5, 1, 3, 4}))
     targets = tuple(Target(tuple(sorted(q)), 2 + 1j) for q in p.quads)
     system = build_system(p, targets)
-    assert system.degrees == (1, 1)
-    assert system.bezout == 1
+    assert system.nv == 2
+    assert matching_bound(p)[0] == 1
 
 
 def test_system_degrees_snowflake():
     targets = tuple(Target(tuple(sorted(q)), 0.5 + 1j) for q in SNOWFLAKE.quads)
     system = build_system(SNOWFLAKE, targets)
-    assert sorted(system.degrees) == [1, 1, 2]
-    assert system.bezout == 2
+    assert system.nv == 3
+    assert matching_bound(SNOWFLAKE)[0] == 2
 
 
 def test_build_system_validates_targets():
@@ -136,7 +142,7 @@ def test_converged_endpoints_hit_targets():
     )
     system = build_system(SNOWFLAKE, targets)
     chart = system.chart
-    results = solve_total_degree(system, seed=11)
+    results = solve_total_degree([system], [11])
     good = [r for r in results if r.status == "converged"]
     assert len(good) >= 2
     for r in good:
@@ -150,8 +156,8 @@ def test_converged_endpoints_hit_targets():
 def test_solve_deterministic():
     targets = tuple(Target(tuple(sorted(q)), 0.8 + 0.9j) for q in SNOWFLAKE.quads)
     system = build_system(SNOWFLAKE, targets)
-    r1 = solve_total_degree(system, seed=21)
-    r2 = solve_total_degree(system, seed=21)
+    r1 = solve_total_degree([system], [21])
+    r2 = solve_total_degree([system], [21])
     assert [r.status for r in r1] == [r.status for r in r2]
     for a, b in zip(r1, r2):
         if a.status == "converged":
@@ -212,3 +218,81 @@ def test_fiber_count_json():
     assert obj["count"] == 2
     assert obj["inconclusive"] is False
     assert obj["trials"] == [2, 2, 2]
+
+
+def test_matching_bound_equals_closed_formula():
+    # the min-chart permanent of a triangulation is 2^(internal triangles)
+    checked = 0
+    for n in range(4, 10):
+        for t in enumerate_triangulations(n):
+            bound, _ = matching_bound(triangulation_to_problem(t))
+            assert bound == closed_formula_degree(t), (n, t.diagonals)
+            checked += 1
+    assert checked == 624
+
+
+def test_matching_bound_bounds_degree():
+    rng = random.Random(17)
+    vanishing = 0
+    for i in range(300):
+        p = random_problem(5 + i % 5, rng)
+        bound, chart = matching_bound(p)
+        assert (bound == 0) == brute_vanishes(p.quads), p.quads
+        assert degree(p) <= bound, p.quads
+        assert sorted((chart.inf_label, chart.zero_label, chart.one_label,
+                       *chart.unknowns)) == list(range(1, p.n + 1))
+        vanishing += bound == 0
+    assert 0 < vanishing < 300
+
+
+def test_paths_tracked_is_trials_times_bound():
+    rng = random.Random(23)
+    for n in (7, 8, 9):
+        p = triangulation_to_problem(random_triangulation(n, rng.randrange(2**32)))
+        bound, chart = matching_bound(p)
+        fc = numeric_degree(p, seed=rng.randrange(2**31))
+        assert fc.bound == bound
+        assert fc.chart == (chart.inf_label, chart.zero_label, chart.one_label)
+        assert fc.paths_tracked == TRIALS * bound
+        assert fc.paths_diverged == 0
+        assert not fc.inconclusive and fc.count == degree(p) == bound
+
+
+def test_single_root_is_not_coincident():
+    # bound 1: one path per trial, so endpoints cannot coincide
+    quads = [[1, 2, 5, 9], [1, 3, 5, 6], [2, 3, 4, 5], [2, 3, 4, 9], [2, 4, 7, 9],
+             [2, 5, 7, 8]]
+    p = CrossRatioProblem(9, tuple(frozenset(q) for q in quads))
+    fc = numeric_degree(p)
+    assert not fc.inconclusive, fc.reasons
+    assert fc.count == 1
+    assert fc.paths_tracked == 3
+
+
+def test_start_system_jac_finite_difference():
+    rng = np.random.default_rng(8)
+    M = rng.random((4, 5, 5)) < 0.5
+    A = np.where(M, rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape), 0)
+    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    G, JG = _start_eval(A, M, z)
+    assert np.allclose(G, np.where(M, z[:, None, :] - A, 1).prod(axis=2))
+    h = 1e-7
+    for i in range(5):
+        dz = np.zeros(5, dtype=complex)
+        dz[i] = h
+        fd = (_start_eval(A, M, z + dz)[0] - _start_eval(A, M, z - dz)[0]) / (2 * h)
+        assert np.allclose(JG[:, :, i], fd, atol=1e-5)
+    # at a start root a vanishing factor keeps its derivative
+    a = A[:1, :2, :2]
+    root = np.array([[a[0, 0, 0], a[0, 1, 1]]])
+    G, JG = _start_eval(a, np.ones((1, 2, 2), dtype=bool), root)
+    assert np.allclose(G, 0)
+    assert np.allclose(JG[0], [[root[0, 1] - a[0, 0, 1], 0], [0, root[0, 0] - a[0, 1, 0]]])
+
+
+def test_batched_solve_isolates_singular_systems():
+    H = np.array([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)], dtype=complex)
+    b = np.ones((3, 2), dtype=complex)
+    x, good = _solve(H, b)
+    assert good.tolist() == [True, False, True]
+    assert np.allclose(x[0], 1) and np.allclose(x[2], 0.5)

@@ -10,6 +10,7 @@ from xratio import (
     exhaustive_cn,
     heuristic_cn,
     inscribed_polygon_triangulation,
+    matching_bound,
     normalize,
 )
 from xratio import search
@@ -77,6 +78,13 @@ def test_records_have_certified_witnesses():
         p = CrossRatioProblem(n, tuple(frozenset(q) for q in quads))
         assert bare.degree(p) == RECORDS[n], n
         assert bound_report(n).record == RECORDS[n], n
+
+
+def test_record_witness_matching_bounds():
+    # the least permanent over charts is the oracle's path count per trial
+    for n, bound in {11: 16, 12: 24, 13: 36, 14: 60}.items():
+        p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
+        assert matching_bound(p)[0] == bound, n
 
 
 def test_exhaustive_small():
