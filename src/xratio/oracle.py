@@ -7,8 +7,10 @@ positions.  Clearing the denominator of a cross-ratio gives an equation
 of degree at most 1 in each unknown, supported on the unknowns of its
 quad.  So the multihomogeneous Bezout number with one group per unknown
 is the permanent of the 0/1 matrix "quad j holds unknown i", the number
-of perfect matchings of quads to unknowns; `matching_bound` pins the
-three labels that make it smallest.
+of perfect matchings of quads to unknowns.  One enumerator, `_matchings`,
+lists them: `matching_bound` counts them chart by chart, stopping at the
+least count found so far, and pins the three labels that make it
+smallest; the homotopy takes its start roots from it.
 
 The homotopy (Morgan & Sommese's m-homogeneous homotopy with the gamma
 trick) starts from the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
@@ -27,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -107,22 +109,24 @@ class Chart:
         return {lab: self.position(lab, z) for lab in range(1, n + 1)}
 
 
-def _permanent(rows: list[int]) -> int:
-    """Permanent of a 0/1 matrix given as one column bitmask per row: a DP,
-    row by row, over the sets of columns the rows so far are matched to."""
-    ways = {0: 1}
-    for row in rows:
-        nxt: dict[int, int] = {}
-        for used, w in ways.items():
-            free = row & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
-                nxt[used | bit] = nxt.get(used | bit, 0) + w
-        if not nxt:
-            return 0
-        ways = nxt
-    return sum(ways.values())
+def _matchings(rows: list[int]):
+    """Perfect matchings of a 0/1 matrix given as one column bitmask per
+    row, by DFS in ascending column order; each is yielded as the column
+    matched to every row."""
+    pick = [0] * len(rows)
+
+    def extend(j, used):
+        if j == len(rows):
+            yield tuple(pick)
+            return
+        free = rows[j] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            pick[j] = bit.bit_length() - 1
+            yield from extend(j + 1, used | bit)
+
+    return extend(0, 0)
 
 
 def matching_bound(problem: CrossRatioProblem) -> tuple[int, Chart]:
@@ -131,15 +135,19 @@ def matching_bound(problem: CrossRatioProblem) -> tuple[int, Chart]:
 
     Every permanent bounds the degree from above, and a permanent of 0
     means the degree is 0.  Ties go to the first triple in lexicographic
-    order.  Of the pinned labels, the one in the most quads (on a tie,
-    the smaller) goes to infinity, which makes its quads' equations
-    linear, and the other two go to 0 and 1 in ascending order.
+    order, so the first chart is counted in full and every later one only
+    up to the least count so far.  Of the pinned labels, the one in the
+    most quads (on a tie, the smaller) goes to infinity, which makes its
+    quads' equations linear, and the other two go to 0 and 1 in ascending
+    order.
     """
     masks = [sum(1 << lab for lab in q) for q in problem.quads]
     bound = triple = None
     for cand in combinations(range(1, problem.n + 1), 3):
         pinned = sum(1 << lab for lab in cand)
-        perm = _permanent([m & ~pinned for m in masks])
+        # fewest choices first: the DFS then meets dead ends early
+        rows = sorted((m & ~pinned for m in masks), key=int.bit_count)
+        perm = sum(1 for _ in islice(_matchings(rows), bound))
         if bound is None or perm < bound:
             bound, triple = perm, cand
             if perm == 0:
@@ -213,14 +221,6 @@ class CrossRatioSystem:
         return np.array([[lab in t.quad for lab in self.chart.unknowns]
                          for t in self.targets], dtype=bool).reshape(len(self.targets), self.nv)
 
-    def eval(self, z: np.ndarray) -> np.ndarray:
-        return _target_eval(self.C[None], self.L[None], self.Q[None],
-                            np.asarray(z, dtype=complex)[None])[0][0]
-
-    def jac(self, z: np.ndarray) -> np.ndarray:
-        return _target_eval(self.C[None], self.L[None], self.Q[None],
-                            np.asarray(z, dtype=complex)[None])[1][0]
-
 
 def _linear_form(label: int, chart: Chart, nv: int):
     # (constant, coefficient vector); None marks the infinite point
@@ -291,43 +291,28 @@ class PathResult:
     steps: int
 
 
-def _matchings(support: np.ndarray):
-    """Perfect matchings of rows to columns of a 0/1 matrix, by DFS; each
-    is given as the column matched to every row."""
-    k = len(support)
-    cols = [np.flatnonzero(row).tolist() for row in support]
-    used = [False] * support.shape[1]
-    pick = [0] * k
+def _newton(evaluate, z, live, iters: int, tol: float):
+    """Newton steps on the rows of z, in place, for the rows marked live.
 
-    def extend(j):
-        if j == k:
-            yield tuple(pick)
-            return
-        for i in cols[j]:
-            if not used[i]:
-                used[i] = True
-                pick[j] = i
-                yield from extend(j + 1)
-                used[i] = False
-
-    return extend(0)
-
-
-def _newton_polish(C, L, Q, z, iters: int = 12):
-    live = np.ones(len(z), dtype=bool)
+    evaluate(z) gives the values and Jacobians of every row.  A row stops
+    when its step is shorter than tol * max(1, |z|) (it converged) or its
+    linear solve fails (live is cleared for it); at most iters steps.
+    Returns the mask of converged rows.
+    """
+    ok = np.zeros(len(z), dtype=bool)
     for _ in range(iters):
-        sel = np.flatnonzero(live)
+        sel = np.flatnonzero(live & ~ok)
         if not len(sel):
             break
-        F, J = _target_eval(C[sel], L[sel], Q[sel], z[sel])
-        delta, good = _solve(J, -F)
+        F, J = evaluate(z)
+        delta, good = _solve(J[sel], -F[sel])
         live[sel[~good]] = False
         sel, delta = sel[good], delta[good]
         z[sel] += delta
         small = (np.linalg.norm(delta, axis=1)
-                 < 1e-13 * np.maximum(1.0, np.linalg.norm(z[sel], axis=1)))
-        live[sel[small]] = False
-    return z
+                 < tol * np.maximum(1.0, np.linalg.norm(z[sel], axis=1)))
+        ok[sel[small]] = True
+    return ok
 
 
 # codes of a path in the stacked tracker
@@ -358,32 +343,20 @@ def _track(C, L, Q, A, M, gamma, z):
         G, JG = _start_eval(Aw, Mw, zz)
         F, JF = _target_eval(Cw, Lw, Qw, zz)
         s = (1 - tt) * gw
-        # H_z, H and H_t of H = (1-t)*gamma*G + t*F
-        return (s[:, None, None] * JG + tt[:, None, None] * JF,
-                s[:, None] * G + tt[:, None] * F, F - gw[:, None] * G)
+        # H, H_z and H_t of H = (1-t)*gamma*G + t*F
+        return (s[:, None] * G + tt[:, None] * F,
+                s[:, None, None] * JG + tt[:, None, None] * JF, F - gw[:, None] * G)
 
     while len(ids):
         steps += 1
         verdict = np.where(steps > MAX_STEPS, _FAILED, _TRACKING)
         dt = np.minimum(dt, 1.0 - t)
         t1 = t + dt
-        Hz, _, Ht = homotopy(t, z)
+        _, Hz, Ht = homotopy(t, z)
         dz, live = _solve(Hz, -Ht * dt[:, None])
         z1 = z + dz
-        ok = np.zeros(len(ids), dtype=bool)
-        live &= verdict == _TRACKING
-        for _ in range(3):
-            sel = np.flatnonzero(live & ~ok)
-            if not len(sel):
-                break
-            Hz1, Hval, _ = homotopy(t1, z1)
-            delta, good = _solve(Hz1[sel], -Hval[sel])
-            live[sel[~good]] = False
-            sel, delta = sel[good], delta[good]
-            z1[sel] += delta
-            small = (np.linalg.norm(delta, axis=1)
-                     < 1e-9 * np.maximum(1.0, np.linalg.norm(z1[sel], axis=1)))
-            ok[sel[small]] = True
+        ok = _newton(lambda zz: homotopy(t1, zz)[:2], z1,
+                     live & (verdict == _TRACKING), 3, 1e-9)
 
         z = np.where(ok[:, None], z1, z)
         t = np.where(ok, t1, t)
@@ -433,7 +406,8 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
         gamma = complex(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
         A = np.where(support, rng.normal(size=support.shape)
                      + 1j * rng.normal(size=support.shape), 0)
-        for match in _matchings(support):
+        rows = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in support]
+        for match in _matchings(rows):
             cols = list(match)
             z0 = np.zeros(system.nv, dtype=complex)
             z0[cols] = A[range(len(cols)), cols]
@@ -448,8 +422,10 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
     end_z, code, steps = _track(C, L, Q, A, M, gamma, z)
 
     arrived = np.flatnonzero(code == _ARRIVED)
-    end_z[arrived] = _newton_polish(C[arrived], L[arrived], Q[arrived], end_z[arrived])
-    F, _ = _target_eval(C[arrived], L[arrived], Q[arrived], end_z[arrived])
+    C, L, Q, za = C[arrived], L[arrived], Q[arrived], end_z[arrived]
+    _newton(lambda zz: _target_eval(C, L, Q, zz), za, np.ones(len(za), dtype=bool), 12, 1e-13)
+    end_z[arrived] = za
+    F, _ = _target_eval(C, L, Q, za)
     residual = np.full(len(z), math.nan)
     residual[arrived] = np.abs(F).max(axis=1, initial=0.0)
     scale = np.maximum(1.0, np.linalg.norm(end_z, axis=1) ** 2)
@@ -503,16 +479,12 @@ def _draw_value(rng) -> complex:
             return lam
 
 
-def _near_degenerate(z, tol=1e-4) -> bool:
-    # stalled next to a non-configuration (collision or value 0/1)?
-    vals = list(z)
-    for i, v in enumerate(vals):
-        if abs(v) < tol or abs(v - 1) < tol:
-            return True
-        for w in vals[i + 1:]:
-            if abs(v - w) < tol * max(1.0, abs(v)):
-                return True
-    return False
+def _near_degenerate(z, tol: float) -> bool:
+    """Is z within tol of a non-configuration: a coordinate at 0 or 1, or
+    two coordinates colliding, relative to the larger of the two?"""
+    return (any(abs(v) < tol or abs(v - 1) < tol for v in z)
+            or any(abs(v - w) < tol * max(1.0, abs(v), abs(w))
+                   for v, w in combinations(z, 2)))
 
 
 def _trial_count(problem, system, results):
@@ -524,32 +496,22 @@ def _trial_count(problem, system, results):
             diverged += 1
             continue
         if r.status == "failed":
-            if _near_degenerate(r.z) or max(abs(v) for v in r.z) > 1e3:
+            if _near_degenerate(r.z, 1e-4) or max(abs(v) for v in r.z) > 1e3:
                 diverged += 1  # stalled against a non-configuration
             else:
                 failed += 1
             continue
-        z = r.z
-        tol = 1e-8
-        bad = any(abs(v) < tol or abs(v - 1) < tol for v in z)
-        if not bad:
-            for i, v in enumerate(z):
-                for w in z[i + 1:]:
-                    if abs(v - w) < tol * max(1.0, abs(v), abs(w)):
-                        bad = True
-                        break
-                if bad:
-                    break
-        if bad:
+        if _near_degenerate(r.z, 1e-8):
             diverged += 1
             continue
-        pts = system.chart.points(problem.n, np.array(z))
+        z = np.array(r.z)
+        pts = system.chart.points(problem.n, z)
         ok = all(
             abs(cross_ratio(*(pts[lab] for lab in t.quad)) - t.value) < 1e-8
             for t in targets
         )
         if ok:
-            accepted.append(np.array(z))
+            accepted.append(z)
         else:
             diverged += 1  # cleared equation satisfied with a tiny denominator
 

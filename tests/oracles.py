@@ -8,7 +8,7 @@ whole individualization-refinement tree without automorphism pruning.
 """
 
 import math
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 
 def catalan(k: int) -> int:
@@ -261,3 +261,23 @@ def brute_maximum(n: int):
 def reference_key(n: int, quads):
     """reference_canon encoding of quads on the labels 1..n."""
     return reference_canon(n, tuple(sum(1 << (x - 1) for x in q) for q in quads))[0]
+
+
+def brute_matching_bound(n: int, quads):
+    """(bound, (inf, zero, one)) of `matching_bound`, from its documented
+    rules: the permanent of "quad j holds unknown i" over all permutations,
+    the least over all pinned triples with the first triple in
+    lexicographic order winning ties, the pinned label in the most quads
+    (the smaller on a tie) at infinity and the other two in ascending
+    order."""
+    best = triple = None
+    for cand in combinations(range(1, n + 1), 3):
+        unknowns = [lab for lab in range(1, n + 1) if lab not in cand]
+        perm = sum(all(unknowns[i] in q for q, i in zip(quads, order))
+                   for order in permutations(range(len(unknowns))))
+        if best is None or perm < best:
+            best, triple = perm, cand
+    in_quads = {lab: sum(lab in q for q in quads) for lab in triple}
+    inf = max(triple, key=lambda lab: (in_quads[lab], -lab))
+    zero, one = sorted(lab for lab in triple if lab != inf)
+    return best, (inf, zero, one)

@@ -1,11 +1,12 @@
 import cmath
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
 
-from oracles import brute_vanishes, random_problem
+from oracles import brute_matching_bound, brute_vanishes, random_problem
 from xratio import (
     INFINITY,
     CrossRatioProblem,
@@ -24,7 +25,7 @@ from xratio import (
     solve_total_degree,
     triangulation_to_problem,
 )
-from xratio.oracle import TRIALS, _solve, _start_eval
+from xratio.oracle import TRIALS, _near_degenerate, _solve, _start_eval, _target_eval
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 
@@ -123,16 +124,16 @@ def test_eval_jac_finite_difference():
         for q, v in zip(SNOWFLAKE.quads, (0.7 + 0.2j, 1.3 - 0.4j, -0.8 + 1.1j))
     )
     system = build_system(SNOWFLAKE, targets)
+    C, L, Q = (np.repeat(a[None], 10, axis=0) for a in (system.C, system.L, system.Q))
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        jac = system.jac(z)
-        h = 1e-7
-        for j in range(3):
-            dz = np.zeros(3, dtype=complex)
-            dz[j] = h
-            fd = (system.eval(z + dz) - system.eval(z - dz)) / (2 * h)
-            assert np.allclose(jac[:, j], fd, atol=1e-5)
+    z = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
+    _, jac = _target_eval(C, L, Q, z)
+    h = 1e-7
+    for j in range(3):
+        dz = np.zeros(3, dtype=complex)
+        dz[j] = h
+        fd = (_target_eval(C, L, Q, z + dz)[0] - _target_eval(C, L, Q, z - dz)[0]) / (2 * h)
+        assert np.allclose(jac[:, :, j], fd, atol=1e-5)
 
 
 def test_converged_endpoints_hit_targets():
@@ -245,6 +246,16 @@ def test_matching_bound_bounds_degree():
     assert 0 < vanishing < 300
 
 
+def test_matching_bound_matches_brute_reference():
+    # the exact bound and chart, tie rules included, against permutations
+    rng = random.Random(31)
+    for i in range(150):
+        p = random_problem(5 + i % 5, rng)
+        bound, chart = matching_bound(p)
+        assert (bound, (chart.inf_label, chart.zero_label, chart.one_label)) \
+            == brute_matching_bound(p.n, p.quads), p.quads
+
+
 def test_paths_tracked_is_trials_times_bound():
     rng = random.Random(23)
     for n in (7, 8, 9):
@@ -296,3 +307,15 @@ def test_batched_solve_isolates_singular_systems():
     x, good = _solve(H, b)
     assert good.tolist() == [True, False, True]
     assert np.allclose(x[0], 1) and np.allclose(x[2], 0.5)
+
+
+def test_near_degenerate_ignores_order():
+    # a collision is judged relative to the larger point of the pair, so
+    # w = v * (1 + 1.00005e-4) is within 1e-4 whichever of v, w comes first
+    for v in (1000, 1e4j, -2e5 + 3e5j):
+        near = (v, v * (1 + 1.00005e-4), 0.3 + 2j)
+        apart = (v, v * (1 + 1.0002e-4), 0.3 + 2j)
+        for z, want in ((near, True), (apart, False)):
+            for perm in itertools.permutations(z):
+                assert _near_degenerate(perm, 1e-4) == want, (perm, want)
+                assert not _near_degenerate(perm, 1e-8)

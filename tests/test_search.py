@@ -12,8 +12,10 @@ from xratio import (
     inscribed_polygon_triangulation,
     matching_bound,
     normalize,
+    numeric_degree,
 )
 from xratio import search
+from xratio.oracle import TRIALS
 from xratio.search import (
     EXHAUSTIVE_CERTIFIED,
     RECORDS,
@@ -85,6 +87,18 @@ def test_record_witness_matching_bounds():
     for n, bound in {11: 16, 12: 24, 13: 36, 14: 60}.items():
         p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
         assert matching_bound(p)[0] == bound, n
+
+
+def test_record_witnesses_numeric():
+    # a second method for the records; bound > degree, so in every trial
+    # the endpoint filter must set aside exactly bound - degree paths
+    for n, bound in {11: 16, 12: 24, 13: 36}.items():
+        p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
+        fc = numeric_degree(p, unknown_limit=10)
+        assert not fc.inconclusive, (n, fc.reasons)
+        assert fc.count == RECORDS[n], n
+        assert fc.bound == bound and fc.paths_tracked == TRIALS * bound, n
+        assert fc.paths_diverged == TRIALS * (bound - RECORDS[n]), n
 
 
 def test_exhaustive_small():
