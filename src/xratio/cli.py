@@ -106,7 +106,9 @@ def cmd_degree(ns) -> int:
         "n": problem.n,
         "degree": d,
         "method": "recursion",
+        "nodes": engine.nodes,
         "cache_hits": engine.cache_hits,
+        "cache_misses": engine.cache_misses,
     }
     emit(report, ns.fmt)
     return EXIT_OK

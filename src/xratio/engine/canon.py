@@ -32,6 +32,11 @@ them (McKay & Piperno, "Practical graph isomorphism II", 2014):
   of an explored child's label, under the automorphisms found so far
   that fix the node's individualized labels, roots an image of that
   child's subtree and is skipped.
+- Twin seeding.  Labels in exactly the same quads (twins) can never be
+  split by refinement, and swapping two of them maps every quad to
+  itself.  The search starts with one such transposition for each twin
+  after the first of its class, so orbit pruning skips twin branches
+  without finding those automorphisms at leaves.
 
 A skipped subtree is the image of one explored before it, so it adds no
 leaf encoding that has not been seen already.  The least encoding, and
@@ -63,12 +68,9 @@ def _refine(colors: list[int], quad_bits: list[list[int]],
         colors, ncol = new, len(rank)
 
 
-def _encode(colors: list[int], masks: tuple[int, ...]) -> tuple[int, ...]:
+def _encode(colors: list[int], quad_bits: list[list[int]]) -> tuple[int, ...]:
     # colors form a bijection label -> position once all classes are singletons
-    out = []
-    for q in masks:
-        out.append(sum(1 << colors[b] for b in bits_of(q)))
-    return tuple(sorted(out))
+    return tuple(sorted(sum(1 << colors[b] for b in qb) for qb in quad_bits))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -83,13 +85,19 @@ class _Search:
 
     def __init__(self, m: int, masks: tuple[int, ...]):
         self.m = m
-        self.masks = masks
         self.quad_bits = [bits_of(q) for q in masks]
         self.quads_of: list[list[int]] = [[] for _ in range(m)]
         for j, qb in enumerate(self.quad_bits):
             for b in qb:
                 self.quads_of[b].append(j)
         self.gens: list[list[int]] = []  # automorphisms found, as label maps
+        first_twin: dict[tuple[int, ...], int] = {}
+        for l, js in enumerate(self.quads_of):
+            t = first_twin.setdefault(tuple(js), l)
+            if t != l:
+                swap = list(range(m))
+                swap[t], swap[l] = l, t
+                self.gens.append(swap)
         self.firsts: list = []  # per node on the current path: first leaf below it
         self.best: tuple | None = None  # least encoding so far, its leaf coloring
 
@@ -104,7 +112,7 @@ class _Search:
                    None)
         firsts = self.firsts
         if tie is None:
-            enc = _encode(colors, self.masks)
+            enc = _encode(colors, self.quad_bits)
             if self.best is None or enc < self.best[0]:
                 self.best = enc, colors
             for d, f in enumerate(firsts):

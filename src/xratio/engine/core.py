@@ -21,6 +21,15 @@ jointly cover six, the degree is twice the product of the three side
 degrees.  Both are optional so that their identities can be tested
 against the bare recursion.
 
+Most three-cuts met on large inputs are of one kind: a label in exactly
+one quad (a leaf).  The quad's other three labels cut it off, and its
+side, that quad alone on four labels, has degree 1, so the degree is
+that of the configuration without the leaf and its quad.  With the
+three-cut on, a cache miss first strips every leaf this way, repeatedly,
+and computes the remainder, so the triple scan and the canonical key run
+only on leafless configurations.  A quad with two leaves leaves its
+second leaf in no quad, and the remainder has degree 0, as it should.
+
 The recursion runs on the compact form of `instance`: the entry point
 builds it with `compact_form`, and every side configuration, of a split
 or of either shortcut, is built by `side_form`.
@@ -169,6 +178,36 @@ def _side(m, masks, a):
     return side_form(out, a | star)
 
 
+def _strip_leaves(m, masks):
+    """(m, masks) without its one-quad labels and their quads, or None.
+
+    Each pass drops, for every quad holding a label no other quad holds,
+    the lowest such label and the quad, until no leaf is left or 4
+    labels remain.  Every drop is a three-cut with a degree-1 side, so
+    the remainder, which keeps quads = labels - 3, has the same degree.
+    """
+    keep = (1 << m) - 1
+    while keep.bit_count() > 4:
+        once = twice = 0
+        for q in masks:
+            twice |= once & q
+            once |= q
+        leaves = once & ~twice
+        if not leaves:
+            break
+        rest = []
+        for q in masks:
+            leaf = q & leaves
+            if leaf and keep.bit_count() > 4:
+                keep &= ~(leaf & -leaf)
+            else:
+                rest.append(q)
+        masks = rest
+    if keep.bit_count() == m:
+        return None
+    return side_form(masks, keep)
+
+
 def _find_three_cut(m, masks):
     """First 3-set of labels whose removal disconnects the quad supports.
 
@@ -281,11 +320,12 @@ def _find_double_cut(m, masks):
 class Engine:
     """Degree computations with a relabeling-aware memo cache.
 
-    A cache miss runs the bare recursion, split at the first quad with
-    its first pairing (the value does not depend on that choice), after
-    the two factorization shortcuts.  The shortcuts can be switched off
-    to test their identities against the bare recursion; separate
-    configurations keep separate caches.
+    A cache miss strips leaves and runs the two factorization shortcuts,
+    then the bare recursion, split at the first quad with its first
+    pairing (the value does not depend on that choice).  The shortcuts
+    (leaf stripping goes with the three-cut) can be switched off to test
+    their identities against the bare recursion; separate configurations
+    keep separate caches.
     """
 
     def __init__(self, use_three_cut: bool = True, use_double_cut: bool = True,
@@ -323,6 +363,9 @@ class Engine:
 
     def _compute(self, m, masks) -> int:
         if self.use_three_cut:
+            stripped = _strip_leaves(m, masks)
+            if stripped is not None:
+                return self._degree(*stripped)
             tc = _find_three_cut(m, masks)
             if tc is not None:
                 c_mask, x_mask, y_mask, x_idx, y_idx, valid = tc

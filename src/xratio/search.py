@@ -10,6 +10,7 @@ search for larger n (lower bounds only), and the bounds on every result.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import random
 import time
@@ -268,10 +269,13 @@ def append_result(path: str, result: SearchResult) -> None:
 
     A last line without its newline is left by an interrupted append: it
     is completed when it parses and cut off when it does not, so the new
-    record always starts on a fresh line.
+    record always starts on a fresh line.  An exclusive lock on the file
+    serializes concurrent appenders, so none truncates at an offset read
+    before another's record was written.
     """
     record = (json.dumps(result.to_json()) + "\n").encode()
     with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
         fh.seek(0)
         data = fh.read()
         if data and not data.endswith(b"\n"):

@@ -23,6 +23,8 @@ def test_degree_bundled_fixtures(capsys):
     assert rep["n"] == 13
     assert rep["degree"] == 8
     assert rep["method"] == "recursion"
+    # engine counters: 4 cached computations, 1 cache hit, no uncached node
+    assert (rep["nodes"], rep["cache_hits"], rep["cache_misses"]) == (5, 1, 4)
 
     code, rep = run_json(capsys, "degree", "snowflake.json")
     assert (code, rep["degree"]) == (0, 2)

@@ -28,7 +28,7 @@ from xratio import (
     three_cut,
     triangulation_to_problem,
 )
-from xratio.engine import core
+from xratio.engine import canon, core
 from xratio.engine.canon import canonical_key, canonical_relabeling
 from xratio.engine.surplus import find_violation
 
@@ -287,6 +287,55 @@ def test_canonical_labeling_matches_unpruned_reference():
         assert reference_encode(relab, masks) == enc
 
 
+def planted_twins(n, rng):
+    """Compact configuration on n labels with one or two planted twin
+    classes (labels in exactly the same quads) of 2 or 3 labels each:
+    every quad holds all or none of each class."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cut = rng.choice((2, 3))
+    groups = [labels[:cut]]
+    if n >= 9 and rng.random() < 0.5:
+        groups.append(labels[cut:cut + 2])
+    others = labels[sum(map(len, groups)):]
+    quads = []
+    for _ in range(n - 3):
+        q = list(rng.choice(groups)) if rng.random() < 0.7 or n < 7 else []
+        quads.append(q + rng.sample(others, 4 - len(q)))
+    return n, tuple(sorted(sum(1 << b for b in q) for q in quads))
+
+
+def test_canonical_labeling_with_planted_twins():
+    # twin transpositions seed the search; keys and relabelings must stay
+    # those of the unpruned search
+    rng = random.Random(89)
+    for n in range(6, 13):
+        for _ in range(25):
+            m, masks = planted_twins(n, rng)
+            enc, colors = reference_canon(m, masks)
+            assert canonical_key(m, masks) == (m, enc), masks
+            assert canonical_relabeling(m, masks) == colors, masks
+
+
+def test_canonical_search_nodes_on_inscribed(monkeypatch):
+    # twin seeding: the labels of an inscribed triangulation pair up into
+    # twins (8 pairs at n = 16) that refinement never splits; without
+    # seeding n = 16 took 53 nodes
+    calls = [0]
+    node = canon._Search.node
+
+    def counted(self, colors, path):
+        calls[0] += 1
+        return node(self, colors, path)
+
+    monkeypatch.setattr(canon._Search, "node", counted)
+    for n in range(16, 33):
+        p = triangulation_to_problem(inscribed_polygon_triangulation(n))
+        calls[0] = 0
+        canonical_key(*p.instance().compact()[:2])
+        assert calls[0] <= n + 1, (n, calls[0])
+
+
 def test_canonical_key_on_inseparable_cycles_in_bounded_time():
     # refinement leaves all cycle labels in one class, and the subtrees of
     # a cycle other than the first leaf's hold no image of that leaf:
@@ -387,6 +436,55 @@ def test_three_cut_product_identity():
         s1, s2 = tc.side_instances
         assert bare.degree(p) == bare.degree(s1) * bare.degree(s2)
     assert found >= 20
+
+
+def planted_leaves(n, rng, shared):
+    """Random configuration on 1..n with label n in one quad only, or,
+    when shared, labels n-1 and n together in one quad and nowhere else
+    (then the degree is 0); labels shuffled."""
+    if shared:
+        quads = [frozenset(rng.sample(range(1, n - 1), 4)) for _ in range(n - 4)]
+        quads.append(frozenset({n - 1, n, *rng.sample(range(1, n - 1), 2)}))
+    else:
+        quads = list(random_problem(n - 1, rng).quads)
+        quads.append(frozenset({n, *rng.sample(range(1, n), 3)}))
+    return relabeled(CrossRatioProblem(n, tuple(quads)), rng)
+
+
+def test_leaf_stripping_matches_bare_engine():
+    bare = Engine(use_three_cut=False, use_double_cut=False)
+    rng = random.Random(97)
+    for n in range(5, 15):
+        for shared in (False, True) if n >= 6 else (False,):
+            for _ in range(8):
+                p = planted_leaves(n, rng, shared)
+                m, masks, _ = p.instance().compact()
+                assert core._strip_leaves(m, tuple(sorted(masks))) is not None
+                d = Engine().degree(p)
+                assert d == bare.degree(p), p.quads
+                if shared:
+                    assert d == 0
+                    if n <= 9:
+                        assert brute_vanishes(p.quads)
+
+
+def test_three_cut_scan_sees_no_leaves(monkeypatch):
+    # the benchmark's large cold inputs: every one-quad label is stripped
+    # before the C(m,3) triple scan runs
+    scanned = []
+    scan = core._find_three_cut
+
+    def spy(m, masks):
+        scanned.append(any(sum(q >> b & 1 for q in masks) == 1 for b in range(m)))
+        return scan(m, masks)
+
+    monkeypatch.setattr(core, "_find_three_cut", spy)
+    rng = random.Random(1729)
+    tris = [inscribed_polygon_triangulation(n) for n in range(16, 25)]
+    tris += [random_triangulation(n, rng.randrange(2**32)) for n in range(20, 41)]
+    for t in tris:
+        assert Engine().degree(triangulation_to_problem(t)) == closed_formula_degree(t)
+    assert scanned and not any(scanned)
 
 
 def test_double_cut_on_snowflake():

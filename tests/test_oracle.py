@@ -10,6 +10,7 @@ from oracles import brute_matching_bound, brute_vanishes, random_problem
 from xratio import (
     INFINITY,
     CrossRatioProblem,
+    Engine,
     PathBudgetError,
     Target,
     Triangulation,
@@ -244,6 +245,17 @@ def test_matching_bound_bounds_degree():
                        *chart.unknowns)) == list(range(1, p.n + 1))
         vanishing += bound == 0
     assert 0 < vanishing < 300
+
+
+def test_matching_bound_bounds_every_nonvanishing_class(exhaustive_runs):
+    # every class exhaustive_cn scores for n <= 8, 405 of them at n = 8
+    bare = Engine(use_three_cut=False, use_double_cut=False)
+    for n, (res, recorded) in exhaustive_runs.items():
+        assert len(recorded) == res.evaluations
+        for p, d in recorded:
+            assert 0 < d <= matching_bound(p)[0], p.quads
+            assert d == bare.degree(p), p.quads
+    assert len(exhaustive_runs[8][1]) == 405
 
 
 def test_matching_bound_matches_brute_reference():

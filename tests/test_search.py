@@ -1,3 +1,7 @@
+import fcntl
+import multiprocessing
+import time
+
 import pytest
 
 from oracles import brute_maximum, reference_key, split_degree
@@ -218,6 +222,32 @@ def test_results_file_torn_tail(tmp_path):
         fh.write(whole.rstrip("\n"))  # a whole last record, unterminated
     append_result(path, a)
     assert open(path).read() == whole + whole
+
+
+def test_append_waits_for_the_file_lock(tmp_path):
+    # a torn tail is repaired under the lock, so an appender that read the
+    # file before another's record landed cannot cut that record off
+    path = tmp_path / "runs.jsonl"
+    a = exhaustive_cn(6)
+    append_result(str(path), a)
+    whole = path.read_bytes()
+    path.write_bytes(whole + whole[:40])  # an append cut off mid-line
+    child = None
+    with open(path, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        try:
+            child = multiprocessing.get_context("spawn").Process(
+                target=append_result, args=(str(path), a))
+            child.start()
+            time.sleep(0.5)
+            assert path.read_bytes() == whole + whole[:40]
+        finally:
+            fcntl.flock(held, fcntl.LOCK_UN)
+            if child is not None:
+                child.join(timeout=30)
+    assert not child.is_alive() and child.exitcode == 0
+    assert [r.n for r in load_results(str(path))] == [6, 6]
+    assert path.read_bytes() == whole + whole
 
 
 def test_results_file_corrupt_middle_line(tmp_path):
