@@ -13,26 +13,23 @@ and a side is counted only when its quads exactly fill its label budget
 bottoms out at 3 or 4 labels, where the degree is 1, and its value does
 not depend on the choice of S_1 or of the two-two split.
 
-Two shortcuts prune the recursion.  If three labels C separate the quads
-into groups supported on C|X and C|Y, the degree factors as the product
-of the side degrees (or vanishes when a side's quad count mismatches its
-label budget).  If three quads pairwise share exactly two labels and
-jointly cover six, the degree is twice the product of the three side
-degrees.  Both are optional so that their identities can be tested
-against the bare recursion.
+Three shortcuts prune the recursion, each a factorization identity.
+Each finder returns None or (factor, sides), a side being a pair (quad
+indices, label mask); the degree is then factor times the product of
+the side degrees, and factor 0 marks a side that mismatches its budget.
+Leaf stripping: a label in exactly one quad (a leaf) is cut off by the
+quad's other three labels, a side of degree 1, so `_strip_leaves` drops
+every leaf with its quad, repeatedly, and the triple scan and canonical
+key run only on leafless configurations (a quad with two leaves leaves
+its second leaf in no quad, a remainder of degree 0).  Three-cut: three
+labels C that separate the quads into groups on C|X and C|Y.  Double
+cut: three quads pairwise sharing two labels and covering six, factor 2.
+A cache miss uses the first that fires, in that order, then the bare
+recursion; `Engine(shortcuts=False)`, the bare recursion alone, is the
+reference the tests check every identity against.
 
-Most three-cuts met on large inputs are of one kind: a label in exactly
-one quad (a leaf).  The quad's other three labels cut it off, and its
-side, that quad alone on four labels, has degree 1, so the degree is
-that of the configuration without the leaf and its quad.  With the
-three-cut on, a cache miss first strips every leaf this way, repeatedly,
-and computes the remainder, so the triple scan and the canonical key run
-only on leafless configurations.  A quad with two leaves leaves its
-second leaf in no quad, and the remainder has degree 0, as it should.
-
-The recursion runs on the compact form of `instance`: the entry point
-builds it with `compact_form`, and every side configuration, of a split
-or of either shortcut, is built by `side_form`.
+The recursion runs on `inst.compact()`; every side configuration, of a
+split or of a shortcut, is built by `side_form`.
 
 Zeros need no separate test: the recursion already returns 0 on every
 configuration with a label-deficient sub-collection.  `surplus_violated`
@@ -46,13 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_key, canonical_relabeling
-from .instance import (
-    CrossRatioProblem,
-    DegreeInstance,
-    as_instance,
-    bits_of,
-    side_form,
-)
+from .instance import CrossRatioProblem, DegreeInstance, bits_of, side_form
 
 __all__ = [
     "Engine",
@@ -179,7 +170,8 @@ def _side(m, masks, a):
 
 
 def _strip_leaves(m, masks):
-    """(m, masks) without its one-quad labels and their quads, or None.
+    """(1, ((kept quad indices, kept label mask),)), or None when no
+    label lies in exactly one quad.
 
     Each pass drops, for every quad holding a label no other quad holds,
     the lowest such label and the quad, until no leaf is left or 4
@@ -187,6 +179,7 @@ def _strip_leaves(m, masks):
     the remainder, which keeps quads = labels - 3, has the same degree.
     """
     keep = (1 << m) - 1
+    idx = range(len(masks))
     while keep.bit_count() > 4:
         once = twice = 0
         for q in masks:
@@ -195,25 +188,27 @@ def _strip_leaves(m, masks):
         leaves = once & ~twice
         if not leaves:
             break
+        rest_idx = []
         rest = []
-        for q in masks:
+        for j, q in zip(idx, masks):
             leaf = q & leaves
             if leaf and keep.bit_count() > 4:
                 keep &= ~(leaf & -leaf)
             else:
+                rest_idx.append(j)
                 rest.append(q)
-        masks = rest
+        idx, masks = rest_idx, rest
     if keep.bit_count() == m:
         return None
-    return side_form(masks, keep)
+    return 1, ((idx, keep),)
 
 
 def _find_three_cut(m, masks):
     """First 3-set of labels whose removal disconnects the quad supports.
 
-    Returns (c_mask, x_mask, y_mask, x_idx, y_idx, valid) or None.  X is
-    the component of the smallest remaining label; valid is False when the
-    quad counts mismatch the side label budgets (the degree is then 0).
+    Returns (factor, ((x_idx, C|X), (y_idx, C|Y))) or None.  X is the
+    component of the smallest remaining label; the factor is 1, or 0 when
+    the quad counts mismatch the side label budgets.
     """
     full = (1 << m) - 1
     for cbits in combinations(range(m), 3):
@@ -241,8 +236,8 @@ def _find_three_cut(m, masks):
         y_mask = rem & ~x_mask
         x_idx = tuple(j for j, q in enumerate(masks) if q & rem & ~x_mask == 0)
         y_idx = tuple(j for j, q in enumerate(masks) if q & rem & x_mask == 0)
-        valid = len(x_idx) == x_mask.bit_count() and len(y_idx) == y_mask.bit_count()
-        return c_mask, x_mask, y_mask, x_idx, y_idx, valid
+        fits = len(x_idx) == x_mask.bit_count() and len(y_idx) == y_mask.bit_count()
+        return (1 if fits else 0), ((x_idx, c_mask | x_mask), (y_idx, c_mask | y_mask))
     return None
 
 
@@ -251,8 +246,9 @@ def _find_double_cut(m, masks):
 
     The remaining labels split into groups, each group assignable to the
     side of one of the three quads; every other quad must land entirely on
-    one side.  Returns (triple, side_masks, side_idx, valid) or None;
-    valid is False on a side-budget mismatch (degree 0).
+    one side.  Returns (factor, sides) or None: side s holds quad tri[s]
+    first, then its assigned quads, on tri[s]'s labels and its groups; the
+    factor is 2, or 0 on a side-budget mismatch.
     """
     full = (1 << m) - 1
     k = len(masks)
@@ -310,28 +306,27 @@ def _find_double_cut(m, masks):
             else:
                 s = cs[0]  # a quad inside two of the three covers > 4 labels
             side_idx[s].append(j)
-        valid = all(
-            len(side_idx[s]) == side_mask[s].bit_count() for s in range(3)
+        fits = all(len(side_idx[s]) == side_mask[s].bit_count() for s in range(3))
+        return (2 if fits else 0), tuple(
+            ((tri[s], *side_idx[s]), side_mask[s] | masks[tri[s]]) for s in range(3)
         )
-        return tri, tuple(side_mask), tuple(map(tuple, side_idx)), valid
     return None
 
 
 class Engine:
     """Degree computations with a relabeling-aware memo cache.
 
-    A cache miss strips leaves and runs the two factorization shortcuts,
-    then the bare recursion, split at the first quad with its first
-    pairing (the value does not depend on that choice).  The shortcuts
-    (leaf stripping goes with the three-cut) can be switched off to test
-    their identities against the bare recursion; separate configurations
-    keep separate caches.
+    A cache miss uses the first shortcut that fires (leaf stripping, the
+    three-cut, the double cut), else the bare recursion, split at the
+    first quad with its first pairing (the value does not depend on that
+    choice).  With shortcuts=False every miss runs the bare recursion.
     """
 
-    def __init__(self, use_three_cut: bool = True, use_double_cut: bool = True,
-                 cache_cap: int | None = None):
-        self.use_three_cut = use_three_cut
-        self.use_double_cut = use_double_cut
+    def __init__(self, shortcuts: bool = True, cache_cap: int | None = None):
+        # read at construction, so a finder patched on the module is seen
+        self._shortcuts = (
+            (_strip_leaves, _find_three_cut, _find_double_cut) if shortcuts else ()
+        )
         self.cache_cap = cache_cap
         self._cache: dict = {}
         self.cache_hits = 0
@@ -339,7 +334,7 @@ class Engine:
         self.nodes = 0
 
     def degree(self, inst) -> int:
-        m, masks, _ = as_instance(inst).compact()
+        m, masks, _ = inst.compact()
         return self._degree(m, tuple(sorted(masks)))
 
     def _degree(self, m, masks) -> int:
@@ -362,34 +357,14 @@ class Engine:
         return val
 
     def _compute(self, m, masks) -> int:
-        if self.use_three_cut:
-            stripped = _strip_leaves(m, masks)
-            if stripped is not None:
-                return self._degree(*stripped)
-            tc = _find_three_cut(m, masks)
-            if tc is not None:
-                c_mask, x_mask, y_mask, x_idx, y_idx, valid = tc
-                if not valid:
-                    return 0
-                dx = self._degree(*side_form([masks[j] for j in x_idx], c_mask | x_mask))
-                if dx == 0:
-                    return 0
-                return dx * self._degree(
-                    *side_form([masks[j] for j in y_idx], c_mask | y_mask))
-        if self.use_double_cut:
-            dc = _find_double_cut(m, masks)
-            if dc is not None:
-                tri, side_mask, side_idx, valid = dc
-                if not valid:
-                    return 0
-                total = 2
-                for s in range(3):
-                    idxs = (tri[s],) + side_idx[s]
-                    total *= self._degree(
-                        *side_form([masks[j] for j in idxs], side_mask[s] | masks[tri[s]])
-                    )
+        for find in self._shortcuts:
+            hit = find(m, masks)
+            if hit is not None:
+                total, sides = hit
+                for idx, labels in sides:
                     if total == 0:
-                        return 0
+                        break
+                    total *= self._degree(*side_form([masks[j] for j in idx], labels))
                 return total
         total = 0
         for a1, a2 in _partitions(m, masks, 0):
@@ -420,48 +395,44 @@ class DoubleCut:
     degree_zero: bool
 
 
-def three_cut(inst) -> ThreeCut | None:
-    inst = as_instance(inst)
+def _cut(inst, find):
+    """find's hit on inst as (side index tuples, side label sets, side
+    instances or None when the factor is 0), or None."""
     m, masks, order = inst.compact()
-    tc = _find_three_cut(m, masks)
-    if tc is None:
+    hit = find(m, masks)
+    if hit is None:
         return None
-    c_mask, x_mask, y_mask, x_idx, y_idx, valid = tc
-    lab = lambda mask: frozenset(order[b] for b in bits_of(mask))
-    cut, xs, ys = lab(c_mask), lab(x_mask), lab(y_mask)
-    if not valid:
-        return ThreeCut(cut, (xs, ys), None, True)
-    sides = (
-        DegreeInstance(cut | xs, tuple(inst.quads[j] for j in x_idx)),
-        DegreeInstance(cut | ys, tuple(inst.quads[j] for j in y_idx)),
-    )
-    return ThreeCut(cut, (xs, ys), sides, False)
+    factor, sides = hit
+    idxs = [idx for idx, _ in sides]
+    labels = [frozenset(order[b] for b in bits_of(mask)) for _, mask in sides]
+    insts = None
+    if factor:
+        insts = tuple(DegreeInstance(lab, tuple(inst.quads[j] for j in idx))
+                      for idx, lab in zip(idxs, labels))
+    return idxs, labels, insts
+
+
+def three_cut(inst) -> ThreeCut | None:
+    cut = _cut(inst, _find_three_cut)
+    if cut is None:
+        return None
+    _, (xs, ys), insts = cut
+    c = xs & ys
+    return ThreeCut(c, (xs - c, ys - c), insts, insts is None)
 
 
 def double_cut(inst) -> DoubleCut | None:
-    inst = as_instance(inst)
-    m, masks, order = inst.compact()
-    dc = _find_double_cut(m, masks)
-    if dc is None:
+    cut = _cut(inst, _find_double_cut)
+    if cut is None:
         return None
-    tri, side_mask, side_idx, valid = dc
-    lab = lambda mask: frozenset(order[b] for b in bits_of(mask))
-    sides = tuple(lab(sm) for sm in side_mask)
-    if not valid:
-        return DoubleCut(tri, sides, None, True)
-    insts = tuple(
-        DegreeInstance(
-            sides[s] | inst.quads[tri[s]],
-            (inst.quads[tri[s]],) + tuple(inst.quads[j] for j in side_idx[s]),
-        )
-        for s in range(3)
-    )
-    return DoubleCut(tri, sides, insts, False)
+    idxs, labels, insts = cut
+    tri = tuple(idx[0] for idx in idxs)
+    sides = tuple(lab - inst.quads[t] for lab, t in zip(labels, tri))
+    return DoubleCut(tri, sides, insts, insts is None)
 
 
 def normalize(inst) -> CrossRatioProblem:
     """Canonical representative on labels 1..m; equal iff relabel-isomorphic."""
-    inst = as_instance(inst)
     m, masks, _ = inst.compact()
     perm = canonical_relabeling(m, masks)
     quads = tuple(

@@ -4,10 +4,12 @@ A configuration on labels 1..n is a multiset of n-3 quadruples of labels.
 The general instance type allows an arbitrary finite label set (including
 the synthetic marks created by the splitting recursion); internally the
 engine works on a compact form with labels renumbered 0..m-1 and each
-quadruple packed into an int bitmask.  `compact_form` is the one place
-that turns labels into bits, and `side_form` the one place that builds
-the compact form of a side configuration (a recursion side, a three-cut
-side or a double-cut side) from the bits of its parent.
+quadruple packed into an int bitmask.  Both types offer one interface,
+`labels`, `quads` and `compact()`, so every entry point of the engine
+takes either.  `compact_form` is the one place that turns labels into
+bits, and `side_form` the one place that builds the compact form of a
+side configuration (a recursion side or a shortcut side) from the bits
+of its parent.
 """
 
 from __future__ import annotations
@@ -58,8 +60,13 @@ class CrossRatioProblem:
     def from_json(cls, obj: dict) -> "CrossRatioProblem":
         return cls(int(obj["n"]), tuple(frozenset(q) for q in obj["quads"]))
 
-    def instance(self) -> "DegreeInstance":
-        return DegreeInstance(frozenset(range(1, self.n + 1)), self.quads)
+    @property
+    def labels(self) -> frozenset:
+        return frozenset(range(1, self.n + 1))
+
+    def compact(self) -> tuple[int, tuple[int, ...], list]:
+        """compact_form of this configuration: masks[j] is the bitmask of quads[j]."""
+        return compact_form(self.labels, self.quads)
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,6 @@ class DegreeInstance:
     def compact(self) -> tuple[int, tuple[int, ...], list]:
         """compact_form of this instance: masks[j] is the bitmask of quads[j]."""
         return compact_form(self.labels, self.quads)
-
-
-def as_instance(inst) -> DegreeInstance:
-    if isinstance(inst, CrossRatioProblem):
-        return inst.instance()
-    return inst
 
 
 def compact_form(labels, quads) -> tuple[int, tuple[int, ...], list]:

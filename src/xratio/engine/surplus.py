@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .instance import as_instance, bits_of
+from .instance import bits_of
 
 __all__ = ["find_violation", "surplus_violated"]
 
@@ -88,5 +88,5 @@ def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def surplus_violated(inst) -> tuple[int, ...] | None:
     """Indices (into inst.quads) of a vanishing certificate, or None."""
-    m, masks, _ = as_instance(inst).compact()
+    m, masks, _ = inst.compact()
     return find_violation(m, masks)

@@ -42,12 +42,12 @@ Diagonal = tuple[int, int]
 
 def _norm_diagonal(n: int, d) -> Diagonal:
     u, v = sorted(d)
+    if u == v:
+        raise ValueError(f"degenerate diagonal {d!r}")
     if not (1 <= u < v <= n):
         raise ValueError(f"diagonal {d!r} out of range for n={n}")
     if v - u == 1 or (u == 1 and v == n):
         raise ValueError(f"{d!r} is a polygon side, not a diagonal")
-    if u == v:
-        raise ValueError(f"degenerate diagonal {d!r}")
     return (u, v)
 
 

@@ -209,7 +209,7 @@ def test_recursion_properties():
     check("degree is invariant under 100 random relabelings", bad == 0,
           f"{bad} deviations")
 
-    bare = Engine(use_three_cut=False, use_double_cut=False)
+    bare = Engine(shortcuts=False)
     pent = CrossRatioProblem(5, ({5, 1, 2, 3}, {2, 3, 4, 5}))
     tc = three_cut(pent)
     check("separating label triple factors the degree (integer equality)",

@@ -30,6 +30,7 @@ from xratio import (
 )
 from xratio.engine import canon, core
 from xratio.engine.canon import canonical_key, canonical_relabeling
+from xratio.engine.instance import side_form
 from xratio.engine.surplus import find_violation
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
@@ -43,11 +44,7 @@ def gon13_problem():
 
 
 def all_engines():
-    return [
-        Engine(use_three_cut=tc, use_double_cut=dc)
-        for tc in (False, True)
-        for dc in (False, True)
-    ]
+    return [Engine(shortcuts=s) for s in (False, True)]
 
 
 def test_problem_validation():
@@ -237,8 +234,8 @@ def test_canonical_key_is_isomorphism_invariant():
     for _ in range(30):
         p1 = random_problem(6, rng)
         p2 = random_problem(6, rng)
-        k1 = canonical_key(*p1.instance().compact()[:2])
-        k2 = canonical_key(*p2.instance().compact()[:2])
+        k1 = canonical_key(*p1.compact()[:2])
+        k2 = canonical_key(*p2.compact()[:2])
         assert (k1 == k2) == brute_isomorphic(6, p1.quads, p2.quads)
 
 
@@ -270,12 +267,12 @@ def band_masks(lengths, offsets, path_len, rng):
 
 def test_canonical_labeling_matches_unpruned_reference():
     # symmetric inputs reach the automorphism pruning; random ones rarely do
-    cases = [triangulation_to_problem(t).instance().compact()[:2]
+    cases = [triangulation_to_problem(t).compact()[:2]
              for n in range(3, 11) for t in enumerate_triangulations(n)]
     cases += [triangulation_to_problem(inscribed_polygon_triangulation(n))
-              .instance().compact()[:2] for n in range(6, 19)]
+              .compact()[:2] for n in range(6, 19)]
     rng = random.Random(73)
-    cases += [random_problem(rng.randrange(5, 13), rng).instance().compact()[:2]
+    cases += [random_problem(rng.randrange(5, 13), rng).compact()[:2]
               for _ in range(300)]
     cases += [band_masks((12, 6), (0, 1, 2, 3), path_len, rng)
               for path_len in (0, 6)]
@@ -332,7 +329,7 @@ def test_canonical_search_nodes_on_inscribed(monkeypatch):
     for n in range(16, 33):
         p = triangulation_to_problem(inscribed_polygon_triangulation(n))
         calls[0] = 0
-        canonical_key(*p.instance().compact()[:2])
+        canonical_key(*p.compact()[:2])
         assert calls[0] <= n + 1, (n, calls[0])
 
 
@@ -403,7 +400,7 @@ def test_zigzag_40_degree_in_bounded_time():
 def test_chain_of_six_blocks_degree_in_bounded_time():
     # the three-cut factors the chain at every glued triple; without it
     # five copies take seconds and each further copy about 10x more
-    assert Engine(use_three_cut=False).degree(chain_problem(1)) == 2
+    assert Engine(shortcuts=False).degree(chain_problem(1)) == 2
     p = chain_problem(6)
     t0 = time.perf_counter()
     assert Engine().degree(p) == 64
@@ -417,25 +414,6 @@ def test_three_cut_on_pentagon():
     assert not tc.degree_zero
     assert tc.cut == frozenset({2, 3, 5})
     assert set(tc.sides) == {frozenset({1}), frozenset({4})}
-
-
-def test_three_cut_product_identity():
-    bare = Engine(use_three_cut=False, use_double_cut=False)
-    rng = random.Random(83)
-    found = 0
-    for _ in range(200):
-        n = rng.randrange(6, 10)
-        p = random_problem(n, rng)
-        tc = three_cut(p)
-        if tc is None:
-            continue
-        found += 1
-        if tc.degree_zero:
-            assert bare.degree(p) == 0
-            continue
-        s1, s2 = tc.side_instances
-        assert bare.degree(p) == bare.degree(s1) * bare.degree(s2)
-    assert found >= 20
 
 
 def planted_leaves(n, rng, shared):
@@ -452,13 +430,13 @@ def planted_leaves(n, rng, shared):
 
 
 def test_leaf_stripping_matches_bare_engine():
-    bare = Engine(use_three_cut=False, use_double_cut=False)
+    bare = Engine(shortcuts=False)
     rng = random.Random(97)
     for n in range(5, 15):
         for shared in (False, True) if n >= 6 else (False,):
             for _ in range(8):
                 p = planted_leaves(n, rng, shared)
-                m, masks, _ = p.instance().compact()
+                m, masks, _ = p.compact()
                 assert core._strip_leaves(m, tuple(sorted(masks))) is not None
                 d = Engine().degree(p)
                 assert d == bare.degree(p), p.quads
@@ -528,27 +506,61 @@ def planted_triple_problem(n, rng):
     return CrossRatioProblem(n, tuple(quads))
 
 
-def test_double_cut_factor_identity():
-    bare = Engine(use_three_cut=False, use_double_cut=False)
+def protocol_cases():
+    """Random configurations, planted pairwise-two triples, random
+    triangulations and planted leaves: inputs on which every shortcut
+    fires often, with factor 0 as well as nonzero."""
+    rng = random.Random(83)
+    cases = [random_problem(rng.randrange(6, 10), rng) for _ in range(200)]
     rng = random.Random(89)
-    cases = [planted_triple_problem(rng.randrange(6, 10), rng) for _ in range(40)]
+    cases += [planted_triple_problem(rng.randrange(6, 10), rng) for _ in range(40)]
     for _ in range(40):
         t = random_triangulation(rng.randrange(6, 11), rng.randrange(2**32))
         cases.append(triangulation_to_problem(t))
-    found = 0
-    for p in cases:
-        dc = double_cut(p)
-        if dc is None:
+    rng = random.Random(97)
+    cases += [planted_leaves(n, rng, shared)
+              for n in range(6, 12) for shared in (False, True) for _ in range(4)]
+    return cases
+
+
+@pytest.mark.parametrize("finder, wrapper", [
+    ("_strip_leaves", None),
+    ("_find_three_cut", three_cut),
+    ("_find_double_cut", double_cut),
+], ids=["strip_leaves", "three_cut", "double_cut"])
+def test_shortcut_protocol_identity(finder, wrapper):
+    # every hit (factor, sides) must give factor * (product of the bare
+    # side degrees) = the bare degree, with well-posed sides unless the
+    # factor is 0; the public wrapper reports the same hit
+    bare = Engine(shortcuts=False)
+    find = getattr(core, finder)
+    hits = 0
+    for p in protocol_cases():
+        m, masks, _ = p.compact()
+        hit = find(m, masks)
+        if hit is None:
             continue
-        found += 1
-        if dc.degree_zero:
-            assert bare.degree(p) == 0
+        hits += 1
+        factor, sides = hit
+        want = bare.degree(p)
+        cut = wrapper(p) if wrapper else None
+        if cut is not None:
+            assert cut.degree_zero == (factor == 0)
+        if factor == 0:
+            assert want == 0, p.quads
             continue
-        prod = 2
-        for s in dc.side_instances:
-            prod *= bare.degree(s)
-        assert bare.degree(p) == prod, p.quads
-    assert found >= 40
+        got = factor
+        for idx, labels in sides:
+            sm, smasks = side_form([masks[j] for j in idx], labels)
+            assert len(smasks) == sm - 3, p.quads
+            got *= bare._degree(sm, smasks)
+        assert got == want, p.quads
+        if cut is not None:
+            got = factor
+            for s in cut.side_instances:
+                got *= bare.degree(s)
+            assert got == want, p.quads
+    assert hits >= 40
 
 
 def test_shortcut_configs_agree():

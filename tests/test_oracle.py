@@ -249,7 +249,7 @@ def test_matching_bound_bounds_degree():
 
 def test_matching_bound_bounds_every_nonvanishing_class(exhaustive_runs):
     # every class exhaustive_cn scores for n <= 8, 405 of them at n = 8
-    bare = Engine(use_three_cut=False, use_double_cut=False)
+    bare = Engine(shortcuts=False)
     for n, (res, recorded) in exhaustive_runs.items():
         assert len(recorded) == res.evaluations
         for p, d in recorded:

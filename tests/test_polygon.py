@@ -83,6 +83,8 @@ def test_triangulation_validation():
         Triangulation(6, ((1, 3), (1, 3), (1, 4)))  # repeat
     with pytest.raises(ValueError):
         Triangulation(6, ((1, 2), (1, 4), (1, 5)))  # side
+    with pytest.raises(ValueError, match="degenerate"):
+        Triangulation(6, ((3, 3), (1, 3), (1, 4)))
 
 
 def test_triangulation_json_roundtrip():

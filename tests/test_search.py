@@ -5,11 +5,13 @@ import time
 import pytest
 
 from oracles import brute_maximum, reference_key, split_degree
+from test_trees import check_tree_structure
 from xratio import (
     CrossRatioProblem,
     Engine,
     bound_report,
     closed_formula_degree,
+    contributing_trees,
     degree,
     exhaustive_cn,
     heuristic_cn,
@@ -78,7 +80,7 @@ RECORD_WITNESSES = {
 
 
 def test_records_have_certified_witnesses():
-    bare = Engine(use_three_cut=False, use_double_cut=False)
+    bare = Engine(shortcuts=False)
     for n, quads in RECORD_WITNESSES.items():
         assert split_degree(range(1, n + 1), quads) == RECORDS[n], n
         p = CrossRatioProblem(n, tuple(frozenset(q) for q in quads))
@@ -91,6 +93,16 @@ def test_record_witness_matching_bounds():
     for n, bound in {11: 16, 12: 24, 13: 36, 14: 60}.items():
         p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
         assert matching_bound(p)[0] == bound, n
+
+
+def test_record_witness_tree_counts():
+    # a third method for the records: the contributing-tree expansion
+    for n in range(11, 15):
+        p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
+        trees = contributing_trees(p)
+        assert len(trees) == RECORDS[n], n
+        for t in trees:
+            check_tree_structure(t, p)
 
 
 def test_record_witnesses_numeric():

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import random_problem
 from xratio import CrossRatioProblem, contributing_trees, degree
+from xratio.engine.trees import TREE_LABEL_CAP
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 
@@ -78,10 +79,12 @@ def test_vanishing_instance_has_no_trees():
 
 
 def test_expansion_cap():
-    p = random_problem(10, random.Random(3))
-    with pytest.raises(ValueError):
-        contributing_trees(p)
-    contributing_trees(p, max_labels=10)
+    assert TREE_LABEL_CAP == 14
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="cap 14"):
+        contributing_trees(random_problem(15, rng))
+    p = random_problem(14, rng)
+    assert len(contributing_trees(p)) == degree(p)
 
 
 def test_tree_json_serializable():
