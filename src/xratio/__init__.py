@@ -9,7 +9,6 @@ and searches for extremal configurations (search).
 
 from .engine import (
     CrossRatioProblem,
-    DegreeInstance,
     Engine,
     MarkedTree,
     contributing_trees,

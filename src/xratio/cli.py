@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .engine import CrossRatioProblem, Engine
 from .oracle import PathBudgetError, numeric_degree
 from .polygon import (
+    ENUMERATION_CAP,
     Triangulation,
     enumerate_triangulations,
     internal_triangle_count,
@@ -135,8 +136,8 @@ def _verify_one_n(args):
 
 def cmd_verify(ns) -> int:
     nmax = ns.nmax
-    if nmax < 3 or nmax > 12:
-        raise CliError(EXIT_INVALID, "verify supports 3 <= nmax <= 12")
+    if nmax < 3 or nmax > ENUMERATION_CAP:
+        raise CliError(EXIT_INVALID, f"verify supports 3 <= nmax <= {ENUMERATION_CAP}")
     tasks = [(n, ns.cache_cap) for n in range(3, nmax + 1)]
     if ns.threads > 1:
         # the executor starts all its workers at once: no more than tasks
@@ -177,10 +178,7 @@ def cmd_oracle(ns) -> int:
     data = load_input(ns.file)
     problem = triangulation_to_problem(data) if isinstance(data, Triangulation) else data
     try:
-        fc = numeric_degree(
-            problem, seed=ns.seed, unknown_limit=max(6, ns.nmax or 0),
-            path_cap=ns.paths,
-        )
+        fc = numeric_degree(problem, seed=ns.seed, path_cap=ns.paths)
     except PathBudgetError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_INCONCLUSIVE
@@ -266,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON file (or bundled fixture name)")
     p.add_argument("--paths", type=int, default=4096,
                    help="path budget: the largest matching bound (paths per trial) to track")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="raise the unknown-count limit (default 6)")
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("search", help="extremal degree search at fixed n")

@@ -11,16 +11,12 @@ from .core import (
     normalize,
     three_cut,
 )
-from .instance import CrossRatioProblem, DegreeInstance, Label, Quad, label_key
+from .instance import CrossRatioProblem
 from .surplus import surplus_violated
 from .trees import MarkedTree, TreeEdge, contributing_trees
 
 __all__ = [
     "CrossRatioProblem",
-    "DegreeInstance",
-    "Label",
-    "Quad",
-    "label_key",
     "Engine",
     "ThreeCut",
     "DoubleCut",

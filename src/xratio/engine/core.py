@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import canonical_key, canonical_relabeling
-from .instance import CrossRatioProblem, DegreeInstance, bits_of, side_form
+from .canon import canonical_key
+from .instance import CrossRatioProblem, bits_of, side_form
 
 __all__ = [
     "Engine",
@@ -377,38 +377,48 @@ class Engine:
 
 @dataclass(frozen=True)
 class ThreeCut:
-    """A separating label triple with its two side configurations."""
+    """A separating label triple with its two side configurations.
+
+    `cut` and `sides` hold the original labels; side instance i is the
+    configuration on cut | sides[i], renumbered 1..m in ascending order.
+    """
 
     cut: frozenset
     sides: tuple[frozenset, frozenset]
-    side_instances: tuple[DegreeInstance, DegreeInstance] | None
+    side_instances: tuple[CrossRatioProblem, CrossRatioProblem] | None
     degree_zero: bool
 
 
 @dataclass(frozen=True)
 class DoubleCut:
-    """Three quads covering six labels pairwise-two, with side data."""
+    """Three quads covering six labels pairwise-two, with side data.
+
+    `quad_indices` and `sides` refer to the original quads and labels;
+    side instance i holds quad quad_indices[i] and the quads assigned to
+    it, renumbered 1..m in ascending label order.
+    """
 
     quad_indices: tuple[int, int, int]
     sides: tuple[frozenset, frozenset, frozenset]
-    side_instances: tuple[DegreeInstance, DegreeInstance, DegreeInstance] | None
+    side_instances: tuple[CrossRatioProblem, CrossRatioProblem, CrossRatioProblem] | None
     degree_zero: bool
 
 
 def _cut(inst, find):
     """find's hit on inst as (side index tuples, side label sets, side
     instances or None when the factor is 0), or None."""
-    m, masks, order = inst.compact()
+    m, masks, _ = inst.compact()
     hit = find(m, masks)
     if hit is None:
         return None
     factor, sides = hit
     idxs = [idx for idx, _ in sides]
-    labels = [frozenset(order[b] for b in bits_of(mask)) for _, mask in sides]
+    labels = [frozenset(b + 1 for b in bits_of(mask)) for _, mask in sides]
     insts = None
     if factor:
-        insts = tuple(DegreeInstance(lab, tuple(inst.quads[j] for j in idx))
-                      for idx, lab in zip(idxs, labels))
+        insts = tuple(
+            CrossRatioProblem.from_masks(*side_form([masks[j] for j in idx], mask))
+            for idx, mask in sides)
     return idxs, labels, insts
 
 
@@ -432,13 +442,13 @@ def double_cut(inst) -> DoubleCut | None:
 
 
 def normalize(inst) -> CrossRatioProblem:
-    """Canonical representative on labels 1..m; equal iff relabel-isomorphic."""
+    """Canonical representative on labels 1..m; equal iff relabel-isomorphic.
+
+    The canonical key's encoding is the relabeled quad set, so it is
+    decoded directly.
+    """
     m, masks, _ = inst.compact()
-    perm = canonical_relabeling(m, masks)
-    quads = tuple(
-        frozenset(perm[b] + 1 for b in bits_of(q)) for q in masks
-    )
-    return CrossRatioProblem(m, quads)
+    return CrossRatioProblem.from_masks(*canonical_key(m, masks))
 
 
 default_engine = Engine()

@@ -533,7 +533,7 @@ def _trial_count(problem, system, results):
 
 
 def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
-                   unknown_limit: int = 6, path_cap: int = 4096) -> FiberCount:
+                   unknown_limit: int | None = None, path_cap: int = 4096) -> FiberCount:
     """Count a generic fiber numerically; majority over TRIALS independent
     target draws, all tracked in the chart of `matching_bound`.
 
@@ -541,10 +541,10 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     unexplained path failure rate exceeds 5 percent, or when endpoints
     collide (a non-reduced fiber).  Raises PathBudgetError if the
     matching bound exceeds path_cap, and ValueError when the system has
-    more than unknown_limit unknowns.
+    more than unknown_limit unknowns (None: no limit).
     """
     nv = problem.n - 3
-    if nv > unknown_limit:
+    if unknown_limit is not None and nv > unknown_limit:
         raise ValueError(f"{nv} unknowns exceed the limit {unknown_limit}")
     bound, chart = matching_bound(problem)
     if bound > path_cap:

@@ -35,16 +35,18 @@ __all__ = [
     "enumerate_triangulations",
     "random_triangulation",
     "inscribed_polygon_triangulation",
+    "ENUMERATION_CAP",
 ]
 
 Diagonal = tuple[int, int]
+ENUMERATION_CAP = 12  # largest n enumerate_triangulations (and verify) covers
 
 
 def _norm_diagonal(n: int, d) -> Diagonal:
     u, v = sorted(d)
     if u == v:
         raise ValueError(f"degenerate diagonal {d!r}")
-    if not (1 <= u < v <= n):
+    if not (1 <= u < v <= n) or isinstance(u, bool) or isinstance(v, bool):
         raise ValueError(f"diagonal {d!r} out of range for n={n}")
     if v - u == 1 or (u == 1 and v == n):
         raise ValueError(f"{d!r} is a polygon side, not a diagonal")
@@ -163,17 +165,18 @@ def closed_formula_degree(t: Triangulation) -> int:
     return 2 ** internal_triangle_count(t)
 
 
-def enumerate_triangulations(n: int, cap: int = 12) -> Iterator[Triangulation]:
+def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     """All triangulations of the n-gon, in a deterministic order.
 
     Recursive ear decomposition: the side (1, n) lies in a unique triangle
     (1, k, n), which splits the polygon into the sub-polygons on vertices
-    1..k and k..n.  Yields Catalan(n-2) triangulations.
+    1..k and k..n.  Yields Catalan(n-2) triangulations; n is capped at
+    ENUMERATION_CAP.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
 
     def rec(verts: tuple[int, ...]) -> Iterator[tuple[Diagonal, ...]]:
         # verts in convex position, in cyclic order

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import CrossRatioProblem, Engine, canonical_key, normalize
-from .engine.instance import bits_of
 from .engine.surplus import find_violation
 from .polygon import (
     inscribed_polygon_triangulation,
@@ -158,8 +157,7 @@ def exhaustive_cn(n: int, engine: Engine | None = None) -> SearchResult:
         level = list(children.values())
     tracker = _Tracker()
     for masks in level:
-        problem = CrossRatioProblem(
-            n, tuple(frozenset(b + 1 for b in bits_of(q)) for q in masks))
+        problem = CrossRatioProblem.from_masks(n, masks)
         tracker.record(problem, eng.degree(problem))
     return SearchResult(
         n=n, mode="exhaustive", best_degree=tracker.best,

@@ -104,9 +104,13 @@ def test_oracle_path_budget(capsys):
     assert "error" in rep
 
 
-def test_oracle_unknown_limit(capsys):
-    code, _ = run(capsys, "oracle", "triangulated_13gon.json")
-    assert code == 3  # 10 unknowns over the default limit
+def test_oracle_13gon_within_path_budget(capsys):
+    # 10 unknowns, but a matching bound of 8: 24 paths over three trials
+    code, rep = run_json(capsys, "oracle", "triangulated_13gon.json")
+    assert code == 0
+    assert rep["count"] == 8
+    assert rep["paths_tracked"] == 24
+    assert rep["agrees"] is True
 
 
 def test_search_exhaustive_and_resume(capsys, tmp_path):

@@ -14,7 +14,6 @@ from oracles import (
 )
 from xratio import (
     CrossRatioProblem,
-    DegreeInstance,
     Engine,
     Triangulation,
     closed_formula_degree,
@@ -54,6 +53,8 @@ def test_problem_validation():
         CrossRatioProblem(6, ({1, 2, 3}, {2, 3, 4, 5}, {1, 4, 5, 6}))  # size
     with pytest.raises(ValueError):
         CrossRatioProblem(6, ({1, 2, 3, 7}, {2, 3, 4, 5}, {1, 4, 5, 6}))  # range
+    with pytest.raises(ValueError, match="out of range"):
+        CrossRatioProblem.from_json({"n": 5, "quads": [[True, 2, 3, 4], [2, 3, 4, 5]]})
 
 
 def test_problem_json_roundtrip():
@@ -186,26 +187,12 @@ def test_relabel_invariance():
         assert degree(relab) == degree(p)
 
 
-def test_string_labels_supported():
-    names = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
-    quads = tuple(frozenset(names[x] for x in q) for q in SNOWFLAKE.quads)
-    inst = DegreeInstance(frozenset(names.values()), quads)
-    assert Engine().degree(inst) == 2
-
-
-def test_mixed_label_instance():
-    quads = tuple(
-        frozenset(("L", x) if x % 2 else x for x in q) for q in SNOWFLAKE.quads
-    )
-    labels = frozenset().union(*quads)
-    assert Engine().degree(DegreeInstance(labels, quads)) == 2
-
-
 def test_normalize_properties():
     rng = random.Random(61)
     for _ in range(60):
         n = rng.randrange(5, 9)
         p = random_problem(n, rng)
+        assert CrossRatioProblem.from_masks(*p.compact()[:2]) == p
         norm = normalize(p)
         assert norm.n == n
         assert normalize(norm) == norm
@@ -550,12 +537,15 @@ def test_shortcut_protocol_identity(finder, wrapper):
             assert want == 0, p.quads
             continue
         got = factor
-        for idx, labels in sides:
-            sm, smasks = side_form([masks[j] for j in idx], labels)
+        forms = [side_form([masks[j] for j in idx], labels) for idx, labels in sides]
+        for sm, smasks in forms:
             assert len(smasks) == sm - 3, p.quads
             got *= bare._degree(sm, smasks)
         assert got == want, p.quads
         if cut is not None:
+            # the public sides are exactly the sides the engine recurses on
+            assert cut.side_instances == tuple(
+                CrossRatioProblem.from_masks(*f) for f in forms), p.quads
             got = factor
             for s in cut.side_instances:
                 got *= bare.degree(s)
