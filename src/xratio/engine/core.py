@@ -334,7 +334,7 @@ class Engine:
         self.nodes = 0
 
     def degree(self, inst) -> int:
-        m, masks, _ = inst.compact()
+        m, masks = inst.compact()
         return self._degree(m, tuple(sorted(masks)))
 
     def _degree(self, m, masks) -> int:
@@ -407,7 +407,7 @@ class DoubleCut:
 def _cut(inst, find):
     """find's hit on inst as (side index tuples, side label sets, side
     instances or None when the factor is 0), or None."""
-    m, masks, _ = inst.compact()
+    m, masks = inst.compact()
     hit = find(m, masks)
     if hit is None:
         return None
@@ -447,7 +447,7 @@ def normalize(inst) -> CrossRatioProblem:
     The canonical key's encoding is the relabeled quad set, so it is
     decoded directly.
     """
-    m, masks, _ = inst.compact()
+    m, masks = inst.compact()
     return CrossRatioProblem.from_masks(*canonical_key(m, masks))
 
 

@@ -57,9 +57,9 @@ class CrossRatioProblem:
     def labels(self) -> frozenset:
         return frozenset(range(1, self.n + 1))
 
-    def compact(self) -> tuple[int, tuple[int, ...], list]:
-        """compact_form of this configuration: masks[j] is the bitmask of quads[j]."""
-        return compact_form(self.labels, self.quads)
+    def compact(self) -> tuple[int, tuple[int, ...]]:
+        """(n, masks): masks[j] is the bitmask of quads[j], label x on bit x-1."""
+        return compact_form(self.labels, self.quads)[:2]
 
 
 def compact_form(labels, quads) -> tuple[int, tuple[int, ...], list]:

@@ -88,5 +88,5 @@ def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def surplus_violated(inst) -> tuple[int, ...] | None:
     """Indices (into inst.quads) of a vanishing certificate, or None."""
-    m, masks, _ = inst.compact()
+    m, masks = inst.compact()
     return find_violation(m, masks)

@@ -10,7 +10,8 @@ is the permanent of the 0/1 matrix "quad j holds unknown i", the number
 of perfect matchings of quads to unknowns.  One enumerator, `_matchings`,
 lists them: `matching_bound` counts them chart by chart, stopping at the
 least count found so far, and pins the three labels that make it
-smallest; the homotopy takes its start roots from it.
+smallest; the homotopy takes its start roots from it.  Each enumeration
+has MATCHING_STEPS search steps, so a call's work is bounded.
 
 The homotopy (Morgan & Sommese's m-homogeneous homotopy with the gamma
 trick) starts from the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
@@ -53,10 +54,13 @@ __all__ = [
 INFINITY = complex(math.inf, 0.0)
 TRIALS = 3  # independent target draws per numeric_degree call
 MAX_STEPS = 3000  # predictor-corrector steps per path
+MATCHING_STEPS = 1 << 22  # search steps of one chart scan or start-root enumeration
+BATCH_BYTES = 1 << 26  # quadratic forms of the paths tracked at once
 
 
 class PathBudgetError(RuntimeError):
-    """Raised when the matching bound of a system exceeds the path cap."""
+    """Raised when a matching bound exceeds the path cap or a matching
+    search its MATCHING_STEPS steps."""
 
 
 def cross_ratio(pa, pb, pc, pd) -> complex:
@@ -109,13 +113,17 @@ class Chart:
         return {lab: self.position(lab, z) for lab in range(1, n + 1)}
 
 
-def _matchings(rows: list[int]):
+def _matchings(rows: list[int], steps: list[int]):
     """Perfect matchings of a 0/1 matrix given as one column bitmask per
     row, by DFS in ascending column order; each is yielded as the column
-    matched to every row."""
+    matched to every row.  Dead ends can make the search exponential, so
+    it counts steps[0] down and raises PathBudgetError below zero."""
     pick = [0] * len(rows)
 
     def extend(j, used):
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise PathBudgetError(f"matching search exceeds {MATCHING_STEPS} steps")
         if j == len(rows):
             yield tuple(pick)
             return
@@ -129,27 +137,32 @@ def _matchings(rows: list[int]):
     return extend(0, 0)
 
 
-def matching_bound(problem: CrossRatioProblem) -> tuple[int, Chart]:
+def matching_bound(problem: CrossRatioProblem,
+                   cap: int | None = None) -> tuple[int, Chart]:
     """The least permanent, over the C(n,3) pinned label triples, of the
     0/1 matrix "quad j holds unknown i", and the chart that attains it.
 
     Every permanent bounds the degree from above, and a permanent of 0
     means the degree is 0.  Ties go to the first triple in lexicographic
-    order, so the first chart is counted in full and every later one only
-    up to the least count so far.  Of the pinned labels, the one in the
-    most quads (on a tie, the smaller) goes to infinity, which makes its
-    quads' equations linear, and the other two go to 0 and 1 in ascending
-    order.
+    order, so the first chart is counted up to cap + 1 (in full without a
+    cap) and every later one only up to the least count so far; a bound
+    above the cap is returned as cap + 1.  The whole scan takes at most
+    MATCHING_STEPS search steps, else PathBudgetError.  Of the pinned
+    labels, the one in the most quads (on a tie, the smaller) goes to
+    infinity, which makes its quads' equations linear, and the other two
+    go to 0 and 1 in ascending order.
     """
     masks = [sum(1 << lab for lab in q) for q in problem.quads]
+    steps = [MATCHING_STEPS]
     bound = triple = None
+    most = None if cap is None else cap + 1  # no chart is counted further
     for cand in combinations(range(1, problem.n + 1), 3):
         pinned = sum(1 << lab for lab in cand)
         # fewest choices first: the DFS then meets dead ends early
         rows = sorted((m & ~pinned for m in masks), key=int.bit_count)
-        perm = sum(1 for _ in islice(_matchings(rows), bound))
+        perm = sum(1 for _ in islice(_matchings(rows, steps), most))
         if bound is None or perm < bound:
-            bound, triple = perm, cand
+            bound, triple, most = perm, cand, perm
             if perm == 0:
                 break
     freq = {lab: sum(lab in q for q in problem.quads) for lab in triple}
@@ -385,8 +398,8 @@ def _track(C, L, Q, A, M, gamma, z):
 
 
 def solve_total_degree(systems, seeds) -> list[PathResult]:
-    """Track every start root of every system to its target, all paths of
-    all systems as one stacked batch; returns one PathResult per path,
+    """Track every start root of every system to its target, the paths of
+    all systems stacked in batches; returns one PathResult per path,
     system by system.
 
     The name is historical: the start system is no longer total-degree.
@@ -394,7 +407,8 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
     random a_ji of the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
     over the support S_j of equation j.  Its roots, one per perfect
     matching of equations to unknowns, are the start points.  All systems
-    must have the same number of unknowns.
+    must have the same number of unknowns nv.  Each path carries its own
+    nv^3 quadratic form, so a batch holds at most BATCH_BYTES of them.
     """
     systems, seeds = list(systems), list(seeds)
     if len(systems) != len(seeds):
@@ -407,13 +421,21 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
         A = np.where(support, rng.normal(size=support.shape)
                      + 1j * rng.normal(size=support.shape), 0)
         rows = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in support]
-        for match in _matchings(rows):
+        for match in _matchings(rows, [MATCHING_STEPS]):
             cols = list(match)
             z0 = np.zeros(system.nv, dtype=complex)
             z0[cols] = A[range(len(cols)), cols]
             paths.append((system, A, support, gamma, z0))
     if not paths:
         return []
+    batch = max(1, BATCH_BYTES // (16 * max(1, systems[0].nv) ** 3))
+    return [r for lo in range(0, len(paths), batch)
+            for r in _track_paths(paths[lo:lo + batch])]
+
+
+def _track_paths(paths) -> list[PathResult]:
+    """Track one stacked batch of (system, a_ji, support, gamma, start
+    point) to the targets and polish the arrivals."""
     owners, A, M, gamma, z = zip(*paths)
     C = np.array([s.C for s in owners])
     L = np.array([s.L for s in owners])
@@ -540,15 +562,15 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     The run is flagged inconclusive when the trials disagree, when an
     unexplained path failure rate exceeds 5 percent, or when endpoints
     collide (a non-reduced fiber).  Raises PathBudgetError if the
-    matching bound exceeds path_cap, and ValueError when the system has
-    more than unknown_limit unknowns (None: no limit).
+    matching bound or search exceeds its budget, and ValueError when the
+    system has more than unknown_limit unknowns (None: no limit).
     """
     nv = problem.n - 3
     if unknown_limit is not None and nv > unknown_limit:
         raise ValueError(f"{nv} unknowns exceed the limit {unknown_limit}")
-    bound, chart = matching_bound(problem)
+    bound, chart = matching_bound(problem, path_cap)
     if bound > path_cap:
-        raise PathBudgetError(f"matching bound {bound} exceeds path cap {path_cap}")
+        raise PathBudgetError(f"matching bound exceeds path cap {path_cap}")
     rng = np.random.default_rng(seed)
     systems, seeds = [], []
     for _ in range(TRIALS):

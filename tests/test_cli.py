@@ -1,6 +1,9 @@
 import json
+import random
+import time
 
 import pytest
+from oracles import random_problem
 
 from xratio import cli
 from xratio.cli import main
@@ -111,6 +114,19 @@ def test_oracle_13gon_within_path_budget(capsys):
     assert rep["count"] == 8
     assert rep["paths_tracked"] == 24
     assert rep["agrees"] is True
+
+
+def test_oracle_large_input_exits_inconclusive(capsys, tmp_path):
+    # 37 unknowns: the chart scan runs out of its search steps and the
+    # oracle refuses within seconds instead of searching for hours
+    problem = random_problem(40, random.Random(4))
+    path = tmp_path / "random40.json"
+    path.write_text(json.dumps(problem.to_json()))
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, "oracle", str(path))
+    assert code == 4
+    assert "steps" in rep["error"]
+    assert time.perf_counter() - t0 < 60
 
 
 def test_search_exhaustive_and_resume(capsys, tmp_path):

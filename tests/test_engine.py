@@ -192,7 +192,7 @@ def test_normalize_properties():
     for _ in range(60):
         n = rng.randrange(5, 9)
         p = random_problem(n, rng)
-        assert CrossRatioProblem.from_masks(*p.compact()[:2]) == p
+        assert CrossRatioProblem.from_masks(*p.compact()) == p
         norm = normalize(p)
         assert norm.n == n
         assert normalize(norm) == norm
@@ -221,8 +221,8 @@ def test_canonical_key_is_isomorphism_invariant():
     for _ in range(30):
         p1 = random_problem(6, rng)
         p2 = random_problem(6, rng)
-        k1 = canonical_key(*p1.compact()[:2])
-        k2 = canonical_key(*p2.compact()[:2])
+        k1 = canonical_key(*p1.compact())
+        k2 = canonical_key(*p2.compact())
         assert (k1 == k2) == brute_isomorphic(6, p1.quads, p2.quads)
 
 
@@ -254,12 +254,12 @@ def band_masks(lengths, offsets, path_len, rng):
 
 def test_canonical_labeling_matches_unpruned_reference():
     # symmetric inputs reach the automorphism pruning; random ones rarely do
-    cases = [triangulation_to_problem(t).compact()[:2]
+    cases = [triangulation_to_problem(t).compact()
              for n in range(3, 11) for t in enumerate_triangulations(n)]
     cases += [triangulation_to_problem(inscribed_polygon_triangulation(n))
-              .compact()[:2] for n in range(6, 19)]
+              .compact() for n in range(6, 19)]
     rng = random.Random(73)
-    cases += [random_problem(rng.randrange(5, 13), rng).compact()[:2]
+    cases += [random_problem(rng.randrange(5, 13), rng).compact()
               for _ in range(300)]
     cases += [band_masks((12, 6), (0, 1, 2, 3), path_len, rng)
               for path_len in (0, 6)]
@@ -316,7 +316,7 @@ def test_canonical_search_nodes_on_inscribed(monkeypatch):
     for n in range(16, 33):
         p = triangulation_to_problem(inscribed_polygon_triangulation(n))
         calls[0] = 0
-        canonical_key(*p.compact()[:2])
+        canonical_key(*p.compact())
         assert calls[0] <= n + 1, (n, calls[0])
 
 
@@ -423,7 +423,7 @@ def test_leaf_stripping_matches_bare_engine():
         for shared in (False, True) if n >= 6 else (False,):
             for _ in range(8):
                 p = planted_leaves(n, rng, shared)
-                m, masks, _ = p.compact()
+                m, masks = p.compact()
                 assert core._strip_leaves(m, tuple(sorted(masks))) is not None
                 d = Engine().degree(p)
                 assert d == bare.degree(p), p.quads
@@ -523,7 +523,7 @@ def test_shortcut_protocol_identity(finder, wrapper):
     find = getattr(core, finder)
     hits = 0
     for p in protocol_cases():
-        m, masks, _ = p.compact()
+        m, masks = p.compact()
         hit = find(m, masks)
         if hit is None:
             continue

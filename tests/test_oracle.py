@@ -155,15 +155,18 @@ def test_converged_endpoints_hit_targets():
             assert abs(got - v) < 1e-7
 
 
-def test_solve_deterministic():
+def test_solve_deterministic(monkeypatch):
     targets = tuple(Target(tuple(sorted(q)), 0.8 + 0.9j) for q in SNOWFLAKE.quads)
     system = build_system(SNOWFLAKE, targets)
     r1 = solve_total_degree([system], [21])
     r2 = solve_total_degree([system], [21])
-    assert [r.status for r in r1] == [r.status for r in r2]
-    for a, b in zip(r1, r2):
-        if a.status == "converged":
-            assert np.allclose(a.z, b.z)
+    monkeypatch.setattr("xratio.oracle.BATCH_BYTES", 1)  # one path per batch
+    r3 = solve_total_degree([system], [21])
+    for other in (r2, r3):
+        assert [r.status for r in r1] == [r.status for r in other]
+        for a, b in zip(r1, other):
+            if a.status == "converged":
+                assert np.allclose(a.z, b.z)
 
 
 def test_numeric_degree_snowflake():
@@ -266,6 +269,7 @@ def test_matching_bound_matches_brute_reference():
         bound, chart = matching_bound(p)
         assert (bound, (chart.inf_label, chart.zero_label, chart.one_label)) \
             == brute_matching_bound(p.n, p.quads), p.quads
+        assert matching_bound(p, cap=1)[0] == min(bound, 2), p.quads
 
 
 def test_paths_tracked_is_trials_times_bound():

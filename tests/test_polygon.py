@@ -87,6 +87,8 @@ def test_triangulation_validation():
         Triangulation(6, ((3, 3), (1, 3), (1, 4)))
     with pytest.raises(ValueError, match="out of range"):
         Triangulation.from_json({"n": 6, "diagonals": [[True, 3], [3, 5], [1, 5]]})
+    with pytest.raises(ValueError, match="out of range"):
+        Triangulation(6, ((1.5, 3), (3, 5), (1, 5)))
 
 
 def test_triangulation_json_roundtrip():
