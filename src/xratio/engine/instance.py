@@ -26,8 +26,8 @@ class CrossRatioProblem:
     quads: tuple[frozenset, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need n >= 3")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
+            raise ValueError(f"need an integer n >= 3, got {self.n!r}")
         quads = tuple(
             sorted((frozenset(q) for q in self.quads), key=lambda q: sorted(q))
         )
@@ -46,7 +46,7 @@ class CrossRatioProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CrossRatioProblem":
-        return cls(int(obj["n"]), tuple(frozenset(q) for q in obj["quads"]))
+        return cls(obj["n"], tuple(frozenset(q) for q in obj["quads"]))
 
     @classmethod
     def from_masks(cls, m: int, masks) -> "CrossRatioProblem":

@@ -3,10 +3,14 @@
 A configuration of k = n-3 quads determines k cross-ratio equations in
 the point positions.  Fixing three labels at (inf, 0, 1) kills the
 Moebius freedom, leaving a square polynomial system in the remaining k
-positions.  Clearing the denominator of a cross-ratio gives an equation
-of degree at most 1 in each unknown, supported on the unknowns of its
-quad.  So the multihomogeneous Bezout number with one group per unknown
-is the permanent of the 0/1 matrix "quad j holds unknown i", the number
+positions.  Clearing the denominator of a cross-ratio gives the equation
+N_j - lambda_j D_j, where N_j and D_j are each a product of two
+differences of chart positions (a difference through the label at
+infinity cancels between them); the system keeps it in that product
+form, four affine factors per equation.  It has degree at most 1 in each
+unknown and is supported on the unknowns of its quad.  So the
+multihomogeneous Bezout number with one group per unknown is the
+permanent of the 0/1 matrix "quad j holds unknown i", the number
 of perfect matchings of quads to unknowns.  One enumerator, `_matchings`,
 lists them: `matching_bound` counts them chart by chart, stopping at the
 least count found so far, and pins the three labels that make it
@@ -22,7 +26,7 @@ is a nondegenerate solution, so filtering the endpoints against the
 non-configurations (coordinate collisions, values 0/1, infinity) and the
 true cross-ratio values counts the fiber.  The count is repeated for
 independent target draws and cross-checked; the paths of all draws of
-one call are tracked together, as one stacked batch.
+one call are tracked together, in stacked batches of at most BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ INFINITY = complex(math.inf, 0.0)
 TRIALS = 3  # independent target draws per numeric_degree call
 MAX_STEPS = 3000  # predictor-corrector steps per path
 MATCHING_STEPS = 1 << 22  # search steps of one chart scan or start-root enumeration
-BATCH_BYTES = 1 << 26  # quadratic forms of the paths tracked at once
+BATCH_BYTES = 1 << 26  # per-path arrays of the paths tracked at once
 
 
 class PathBudgetError(RuntimeError):
@@ -150,8 +154,10 @@ def matching_bound(problem: CrossRatioProblem,
     MATCHING_STEPS search steps, else PathBudgetError.  Of the pinned
     labels, the one in the most quads (on a tie, the smaller) goes to
     infinity, which makes its quads' equations linear, and the other two
-    go to 0 and 1 in ascending order.
+    go to 0 and 1 in ascending order.  A negative cap is a ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"negative cap {cap}")
     masks = [sum(1 << lab for lab in q) for q in problem.quads]
     steps = [MATCHING_STEPS]
     bound = triple = None
@@ -172,13 +178,21 @@ def matching_bound(problem: CrossRatioProblem,
     return bound, Chart(inf_label, zero_label, one_label, unknowns)
 
 
-def _target_eval(C, L, Q, z):
-    """F = C + L z + z Q z and its Jacobian, for stacked systems:
-    C (P,k), L (P,k,k), Q (P,k,k,k), z (P,k)."""
-    Qz = np.matmul(Q, z[:, None, :, None])[..., 0]
-    zQ = np.matmul(z[:, None, None, :], Q)[..., 0, :]
-    F = C + np.matmul(L + Qz, z[..., None])[..., 0]
-    return F, L + Qz + zQ
+_PARTNER = np.array([1, 0, 3, 2])  # the other factor of each factor's product
+
+
+def _target_eval(K, R, coef, z):
+    """F_j = f_j0 f_j1 - lam_j f_j2 f_j3 and its Jacobian by the product
+    rule, for stacked systems: factor f_jf = K[jf] + R[jf] @ z and
+    coef[j] = (1, 1, -lam_j, -lam_j), with K (P,k,4), R (P,k,4,k),
+    coef (P,k,4), z (P,k).  The (P*k) small products are flattened into
+    one batch each, which keeps the few-path calls cheap."""
+    P, k, _, nv = R.shape
+    f = K + (R.reshape(P, 4 * k, nv) @ z[..., None]).reshape(P, k, 4)
+    w = f[..., _PARTNER] * coef  # dF_j / df_jf
+    fw = f * w
+    jac = (w.reshape(P * k, 1, 4) @ R.reshape(P * k, 4, nv)).reshape(P, k, nv)
+    return fw[..., 0] + fw[..., 2], jac
 
 
 def _start_eval(A, M, z):
@@ -211,41 +225,33 @@ def _solve(H, b):
 
 
 class CrossRatioSystem:
-    """Cleared equations N_j - value_j * D_j as quadratic forms.
+    """Cleared equations N_j - value_j * D_j in product form.
 
-    Equation j is C[j] + L[j] @ z + z @ Q[j] @ z.
+    For the quad (a, b, c, d) of equation j, factor f of the pairs
+    (a,c), (b,d), (a,d), (b,c) is K[j, f] + R[j, f] @ z, the difference of
+    the two chart positions; a factor through the infinite label is the
+    constant 1, since that label cancels between N_j and D_j.  Each factor
+    carries the coefficient of its product, coef[j] = (1, 1, -lam_j, -lam_j)
+    with lam_j the target value, so F_j = f_j0 f_j1 - lam_j f_j2 f_j3.
     """
 
     def __init__(self, chart: Chart, targets: tuple[Target, ...],
-                 C: np.ndarray, L: np.ndarray, Q: np.ndarray):
+                 K: np.ndarray, R: np.ndarray, coef: np.ndarray):
         self.chart = chart
         self.targets = targets
-        self.C = C
-        self.L = L
-        self.Q = Q
+        self.K = K
+        self.R = R
+        self.coef = coef
 
     @property
     def nv(self) -> int:
-        return self.L.shape[1]
+        return self.R.shape[2]
 
     @property
     def support(self) -> np.ndarray:
-        """Boolean (k, k): unknown i lies in the quad of equation j."""
-        return np.array([[lab in t.quad for lab in self.chart.unknowns]
-                         for t in self.targets], dtype=bool).reshape(len(self.targets), self.nv)
-
-
-def _linear_form(label: int, chart: Chart, nv: int):
-    # (constant, coefficient vector); None marks the infinite point
-    if label == chart.inf_label:
-        return None
-    vec = np.zeros(nv, dtype=complex)
-    if label == chart.zero_label:
-        return 0j, vec
-    if label == chart.one_label:
-        return 1 + 0j, vec
-    vec[chart.unknowns.index(label)] = 1
-    return 0j, vec
+        """Boolean (k, k): unknown i has a coefficient in some factor of
+        equation j."""
+        return (self.R != 0).any(axis=1)
 
 
 def build_system(problem: CrossRatioProblem, targets,
@@ -261,37 +267,21 @@ def build_system(problem: CrossRatioProblem, targets,
         raise ValueError("targets do not match the problem's quads")
     nv = len(chart.unknowns)
     k = len(targets)
-    C = np.zeros(k, dtype=complex)
-    L = np.zeros((k, nv), dtype=complex)
-    Q = np.zeros((k, nv, nv), dtype=complex)
-
+    K = np.ones((k, 4), dtype=complex)
+    R = np.zeros((k, 4, nv), dtype=complex)
+    coef = np.ones((k, 4), dtype=complex)
+    origin = np.zeros(nv)
     for j, tgt in enumerate(targets):
         a, b, c, d = tgt.quad
-        forms = {lab: _linear_form(lab, chart, nv) for lab in tgt.quad}
-        num_pairs = [(a, c), (b, d)]
-        den_pairs = [(a, d), (b, c)]
-
-        def side(pairs, scale):
-            fs = []
-            for p, q in pairs:
-                if forms[p] is None or forms[q] is None:
-                    continue  # the infinite point cancels between N and D
-                cp, vp = forms[p]
-                cq, vq = forms[q]
-                fs.append((cp - cq, vp - vq))
-            if len(fs) == 1:
-                (c0, v0) = fs[0]
-                C[j] += scale * c0
-                L[j] += scale * v0
-            else:
-                (c0, v0), (c1, v1) = fs
-                C[j] += scale * c0 * c1
-                L[j] += scale * (c0 * v1 + c1 * v0)
-                Q[j] += scale * np.outer(v0, v1)
-
-        side(num_pairs, 1)
-        side(den_pairs, -tgt.value)
-    return CrossRatioSystem(chart, targets, C, L, Q)
+        coef[j, 2:] = -tgt.value
+        for f, (p, q) in enumerate(((a, c), (b, d), (a, d), (b, c))):
+            if chart.inf_label in (p, q):
+                continue  # the infinite point cancels between N and D
+            K[j, f] = chart.position(p, origin) - chart.position(q, origin)
+            for lab, sign in ((p, 1), (q, -1)):
+                if lab in chart.unknowns:
+                    R[j, f, chart.unknowns.index(lab)] = sign
+    return CrossRatioSystem(chart, targets, K, R, coef)
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,7 @@ def _newton(evaluate, z, live, iters: int, tol: float):
 _TRACKING, _ARRIVED, _DIVERGED, _FAILED = range(4)
 
 
-def _track(C, L, Q, A, M, gamma, z):
+def _track(K, R, coef, A, M, gamma, z):
     """Track every row of z along (1-t)*gamma*G + t*F from t=0 to 1.
 
     Euler predictor, few-step Newton corrector, step halving on corrector
@@ -349,12 +339,12 @@ def _track(C, L, Q, A, M, gamma, z):
     dt = np.full(P, 0.05)
     streak = np.zeros(P, dtype=int)
     steps = np.zeros(P, dtype=int)
-    work = [C, L, Q, A, M, gamma]
+    work = [K, R, coef, A, M, gamma]
 
     def homotopy(tt, zz):
-        Cw, Lw, Qw, Aw, Mw, gw = work
+        Kw, Rw, cw, Aw, Mw, gw = work
         G, JG = _start_eval(Aw, Mw, zz)
-        F, JF = _target_eval(Cw, Lw, Qw, zz)
+        F, JF = _target_eval(Kw, Rw, cw, zz)
         s = (1 - tt) * gw
         # H, H_z and H_t of H = (1-t)*gamma*G + t*F
         return (s[:, None] * G + tt[:, None] * F,
@@ -407,8 +397,10 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
     random a_ji of the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
     over the support S_j of equation j.  Its roots, one per perfect
     matching of equations to unknowns, are the start points.  All systems
-    must have the same number of unknowns nv.  Each path carries its own
-    nv^3 quadratic form, so a batch holds at most BATCH_BYTES of them.
+    must have the same number of unknowns nv.  Each path stacks about
+    twenty complex nv x nv arrays at once (its four factor rows, a_ji, the
+    Jacobians and their temporaries), so a batch holds at most BATCH_BYTES
+    of them.
     """
     systems, seeds = list(systems), list(seeds)
     if len(systems) != len(seeds):
@@ -428,7 +420,7 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
             paths.append((system, A, support, gamma, z0))
     if not paths:
         return []
-    batch = max(1, BATCH_BYTES // (16 * max(1, systems[0].nv) ** 3))
+    batch = max(1, BATCH_BYTES // (16 * 20 * max(1, systems[0].nv) ** 2))
     return [r for lo in range(0, len(paths), batch)
             for r in _track_paths(paths[lo:lo + batch])]
 
@@ -437,17 +429,17 @@ def _track_paths(paths) -> list[PathResult]:
     """Track one stacked batch of (system, a_ji, support, gamma, start
     point) to the targets and polish the arrivals."""
     owners, A, M, gamma, z = zip(*paths)
-    C = np.array([s.C for s in owners])
-    L = np.array([s.L for s in owners])
-    Q = np.array([s.Q for s in owners])
+    K = np.array([s.K for s in owners])
+    R = np.array([s.R for s in owners])
+    coef = np.array([s.coef for s in owners])
     A, M, gamma, z = (np.array(column) for column in (A, M, gamma, z))
-    end_z, code, steps = _track(C, L, Q, A, M, gamma, z)
+    end_z, code, steps = _track(K, R, coef, A, M, gamma, z)
 
     arrived = np.flatnonzero(code == _ARRIVED)
-    C, L, Q, za = C[arrived], L[arrived], Q[arrived], end_z[arrived]
-    _newton(lambda zz: _target_eval(C, L, Q, zz), za, np.ones(len(za), dtype=bool), 12, 1e-13)
+    K, R, coef, za = K[arrived], R[arrived], coef[arrived], end_z[arrived]
+    _newton(lambda zz: _target_eval(K, R, coef, zz), za, np.ones(len(za), dtype=bool), 12, 1e-13)
     end_z[arrived] = za
-    F, _ = _target_eval(C, L, Q, za)
+    F, _ = _target_eval(K, R, coef, za)
     residual = np.full(len(z), math.nan)
     residual[arrived] = np.abs(F).max(axis=1, initial=0.0)
     scale = np.maximum(1.0, np.linalg.norm(end_z, axis=1) ** 2)
@@ -563,7 +555,8 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     unexplained path failure rate exceeds 5 percent, or when endpoints
     collide (a non-reduced fiber).  Raises PathBudgetError if the
     matching bound or search exceeds its budget, and ValueError when the
-    system has more than unknown_limit unknowns (None: no limit).
+    system has more than unknown_limit unknowns (None: no limit) or the
+    path cap is negative.
     """
     nv = problem.n - 3
     if unknown_limit is not None and nv > unknown_limit:

@@ -93,8 +93,8 @@ class Triangulation:
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need n >= 3")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
+            raise ValueError(f"need an integer n >= 3, got {self.n!r}")
         diags = tuple(sorted(_norm_diagonal(self.n, d) for d in self.diagonals))
         if len(set(diags)) != len(diags):
             raise ValueError("repeated diagonal")
@@ -110,7 +110,7 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Triangulation":
-        return cls(int(obj["n"]), tuple(tuple(d) for d in obj["diagonals"]))
+        return cls(obj["n"], tuple(tuple(d) for d in obj["diagonals"]))
 
 
 def diagonal_to_quad(n: int, d) -> frozenset[int]:

@@ -105,6 +105,9 @@ def test_oracle_path_budget(capsys):
     code, rep = run_json(capsys, "oracle", "snowflake.json", "--paths", "1")
     assert code == 4
     assert "error" in rep
+    # a negative cap is an invalid value, not an inconclusive count
+    code, _ = run(capsys, "oracle", "snowflake.json", "--paths", "-1")
+    assert code == 3
 
 
 def test_oracle_13gon_within_path_budget(capsys):
@@ -234,6 +237,13 @@ def test_invalid_problem_exit(capsys, tmp_path):
     ))
     code, _ = run(capsys, "degree", str(path2))
     assert code == 3
+    # n must be an integer: neither truncated nor parsed from a string
+    for i, obj in enumerate(({"n": 5.9, "quads": [[1, 2, 3, 4], [2, 3, 4, 5]]},
+                             {"n": "6", "diagonals": [[1, 3], [3, 5], [1, 5]]})):
+        path3 = tmp_path / f"badn{i}.json"
+        path3.write_text(json.dumps(obj))
+        code, _ = run(capsys, "degree", str(path3))
+        assert code == 3, obj
 
 
 def test_fixture_dir_override(capsys, tmp_path, monkeypatch):

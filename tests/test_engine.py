@@ -55,6 +55,11 @@ def test_problem_validation():
         CrossRatioProblem(6, ({1, 2, 3, 7}, {2, 3, 4, 5}, {1, 4, 5, 6}))  # range
     with pytest.raises(ValueError, match="out of range"):
         CrossRatioProblem.from_json({"n": 5, "quads": [[True, 2, 3, 4], [2, 3, 4, 5]]})
+    for n in (5.0, 5.9, "5", True):
+        with pytest.raises(ValueError, match="integer n"):
+            CrossRatioProblem(n, ({1, 2, 3, 4}, {2, 3, 4, 5}))
+    with pytest.raises(ValueError, match="integer n"):
+        CrossRatioProblem.from_json({"n": 5.9, "quads": [[1, 2, 3, 4], [2, 3, 4, 5]]})
 
 
 def test_problem_json_roundtrip():

@@ -125,16 +125,26 @@ def test_eval_jac_finite_difference():
         for q, v in zip(SNOWFLAKE.quads, (0.7 + 0.2j, 1.3 - 0.4j, -0.8 + 1.1j))
     )
     system = build_system(SNOWFLAKE, targets)
-    C, L, Q = (np.repeat(a[None], 10, axis=0) for a in (system.C, system.L, system.Q))
+    K, R, coef = (np.repeat(a[None], 10, axis=0) for a in (system.K, system.R, system.coef))
     rng = np.random.default_rng(5)
     z = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
-    _, jac = _target_eval(C, L, Q, z)
+    F, jac = _target_eval(K, R, coef, z)
     h = 1e-7
     for j in range(3):
         dz = np.zeros(3, dtype=complex)
         dz[j] = h
-        fd = (_target_eval(C, L, Q, z + dz)[0] - _target_eval(C, L, Q, z - dz)[0]) / (2 * h)
+        fd = (_target_eval(K, R, coef, z + dz)[0] - _target_eval(K, R, coef, z - dz)[0]) / (2 * h)
         assert np.allclose(jac[:, :, j], fd, atol=1e-5)
+    # F_j = f_j2 f_j3 (cross-ratio - lam_j); the chart puts a label of
+    # some quads at infinity, whose factors are the constant 1
+    chart = system.chart
+    assert any(chart.inf_label in t.quad for t in targets)
+    f = K + np.matmul(R, z[:, None, :, None])[..., 0]
+    for p in range(10):
+        pts = chart.points(6, z[p])
+        for j, t in enumerate(system.targets):
+            want = f[p, j, 2] * f[p, j, 3] * (cross_ratio(*(pts[lab] for lab in t.quad)) - t.value)
+            assert abs(F[p, j] - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_converged_endpoints_hit_targets():
@@ -270,6 +280,13 @@ def test_matching_bound_matches_brute_reference():
         assert (bound, (chart.inf_label, chart.zero_label, chart.one_label)) \
             == brute_matching_bound(p.n, p.quads), p.quads
         assert matching_bound(p, cap=1)[0] == min(bound, 2), p.quads
+    # a negative cap would read as a bound of 0, i.e. degree 0
+    p = triangulation_to_problem(inscribed_polygon_triangulation(8))
+    assert matching_bound(p)[0] == 4
+    with pytest.raises(ValueError):
+        matching_bound(p, cap=-1)
+    with pytest.raises(ValueError):
+        numeric_degree(p, path_cap=-1)
 
 
 def test_paths_tracked_is_trials_times_bound():

@@ -89,6 +89,11 @@ def test_triangulation_validation():
         Triangulation.from_json({"n": 6, "diagonals": [[True, 3], [3, 5], [1, 5]]})
     with pytest.raises(ValueError, match="out of range"):
         Triangulation(6, ((1.5, 3), (3, 5), (1, 5)))
+    for n in (6.0, "6"):
+        with pytest.raises(ValueError, match="integer n"):
+            Triangulation(n, ((1, 3), (3, 5), (1, 5)))
+    with pytest.raises(ValueError, match="integer n"):
+        Triangulation.from_json({"n": "6", "diagonals": [[1, 3], [3, 5], [1, 5]]})
 
 
 def test_triangulation_json_roundtrip():
