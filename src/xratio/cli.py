@@ -138,6 +138,8 @@ def cmd_verify(ns) -> int:
     nmax = ns.nmax
     if nmax < 3 or nmax > ENUMERATION_CAP:
         raise CliError(EXIT_INVALID, f"verify supports 3 <= nmax <= {ENUMERATION_CAP}")
+    if ns.threads < 1:
+        raise CliError(EXIT_INVALID, f"need --threads >= 1, got {ns.threads}")
     tasks = [(n, ns.cache_cap) for n in range(3, nmax + 1)]
     if ns.threads > 1:
         # the executor starts all its workers at once: no more than tasks

@@ -59,8 +59,8 @@ __all__ = [
 DEGREE_LIMIT = 1 << 64  # degrees of supported instance sizes fit in uint64
 
 
-def _partitions(m, masks, s1):
-    """Admissible splits for the recursion at quad s1.
+def _partitions(full, masks, s1):
+    """Admissible splits for the recursion at quad s1 on the label mask full.
 
     Quad s1's two lowest labels seed side 1 and its two highest side 2.
     Yields (a1, a2) bitmask pairs.  A split is admissible when every other
@@ -75,7 +75,6 @@ def _partitions(m, masks, s1):
     p2 = (1 << b[2]) | (1 << b[3])
     others = [masks[j] for j in range(len(masks)) if j != s1]
     k = len(others)
-    full = (1 << m) - 1
     free0 = full & ~(p1 | p2)
     c1_0 = [(q & p1).bit_count() for q in others]
     c2_0 = [(q & p2).bit_count() for q in others]
@@ -320,9 +319,13 @@ class Engine:
     three-cut, the double cut), else the bare recursion, split at the
     first quad with its first pairing (the value does not depend on that
     choice).  With shortcuts=False every miss runs the bare recursion.
+    cache_cap bounds the cache entries (0: no caching); a negative cap is
+    a ValueError.
     """
 
     def __init__(self, shortcuts: bool = True, cache_cap: int | None = None):
+        if cache_cap is not None and cache_cap < 0:
+            raise ValueError(f"negative cache cap {cache_cap}")
         # read at construction, so a finder patched on the module is seen
         self._shortcuts = (
             (_strip_leaves, _find_three_cut, _find_double_cut) if shortcuts else ()
@@ -367,7 +370,7 @@ class Engine:
                     total *= self._degree(*side_form([masks[j] for j in idx], labels))
                 return total
         total = 0
-        for a1, a2 in _partitions(m, masks, 0):
+        for a1, a2 in _partitions((1 << m) - 1, masks, 0):
             d1 = self._degree(*_side(m, masks, a1))
             if d1 == 0:
                 continue

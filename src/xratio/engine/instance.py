@@ -3,19 +3,18 @@
 A configuration on labels 1..n is a multiset of n-3 quadruples of labels,
 and `CrossRatioProblem` is the one type for it: every side of the
 splitting recursion is again such a configuration, up to relabeling.
-Internally the engine works on a compact form with labels renumbered
-0..n-1 and each quadruple packed into an int bitmask.  `compact()` is the
-one way in and `CrossRatioProblem.from_masks` the one way back (bit b is
-label b+1); `side_form` is the one place that builds the compact form of
-a side configuration (a recursion side or a shortcut side) from the bits
-of its parent.
+Every layer below works on a compact form: each quadruple packed into an
+int bitmask, label x on bit x-1.  `compact()` is the one encoder and
+`CrossRatioProblem.from_masks` the one decoder; `side_form` is the one
+place that builds the compact form of a side configuration (a recursion
+side or a shortcut side) from the bits of its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CrossRatioProblem", "compact_form", "side_form"]
+__all__ = ["CrossRatioProblem", "side_form"]
 
 
 @dataclass(frozen=True)
@@ -53,23 +52,9 @@ class CrossRatioProblem:
         """Inverse of compact(): bit b of each mask becomes label b+1."""
         return cls(m, tuple(frozenset(b + 1 for b in bits_of(q)) for q in masks))
 
-    @property
-    def labels(self) -> frozenset:
-        return frozenset(range(1, self.n + 1))
-
     def compact(self) -> tuple[int, tuple[int, ...]]:
         """(n, masks): masks[j] is the bitmask of quads[j], label x on bit x-1."""
-        return compact_form(self.labels, self.quads)[:2]
-
-
-def compact_form(labels, quads) -> tuple[int, tuple[int, ...], list]:
-    """(m, quad bitmasks in the given quad order, index -> label).
-
-    Labels are renumbered 0..m-1 in ascending order.
-    """
-    order = sorted(labels)
-    pos = {lab: i for i, lab in enumerate(order)}
-    return len(order), tuple(sum(1 << pos[x] for x in q) for q in quads), order
+        return self.n, tuple(sum(1 << (x - 1) for x in q) for q in self.quads)
 
 
 def side_form(masks, label_mask: int) -> tuple[int, tuple[int, ...]]:

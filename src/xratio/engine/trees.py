@@ -8,10 +8,12 @@ base instance, and every admissible split contributes the trees of its
 two sides joined along the fresh edge.  Every tree contributes exactly 1,
 so the number of trees equals the degree.
 
-Labels stay integers throughout: each split mints the two integers above
-the instance's largest label that no earlier split has used as its
-synthetic pair, so every sort is a plain `sorted`.  `TreeEdge.marks`
-renumbers the pairs ("*t", "+t") in edge order within each tree.
+The expansion runs on the bits of `compact()` and calls the engine's
+partition enumerator on them directly: each split mints the next two
+unused bits as its synthetic pair, so bit order stays label order, and
+leaves become labels (bit + 1) only in the emitted `MarkedTree`.
+`TreeEdge.marks` renumbers the pairs ("*t", "+t") in edge order within
+each tree.
 
 The expansion is exponential in the label count, so it stops at
 `TREE_LABEL_CAP` labels, where the record witness (51 trees) takes 0.04 s.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import _partitions
-from .instance import bits_of, compact_form
+from .instance import bits_of
 
 __all__ = ["MarkedTree", "TreeEdge", "contributing_trees", "TREE_LABEL_CAP"]
 
@@ -64,53 +66,45 @@ class MarkedTree:
         }
 
 
-def _splits_of(labels: frozenset, quads, s1):
-    """Admissible (A1, A2) label splits at quad position s1."""
-    m, masks, order = compact_form(labels, [q for _, q in quads])
-    for a1, a2 in _partitions(m, masks, s1):
-        yield (frozenset(order[i] for i in bits_of(a1)),
-               frozenset(order[i] for i in bits_of(a2)))
-
-
 def _side_quads(quads, s1, a, star):
     out = []
     for t, (idx, q) in enumerate(quads):
         if t == s1:
             continue
         inter = q & a
-        if len(inter) < 3:
-            continue
-        out.append((idx, inter if len(inter) == 4 else inter | {star}))
+        c = inter.bit_count()
+        if c >= 3:
+            out.append((idx, inter if c == 4 else inter | star))
     return tuple(out)
 
 
-def _expand(labels: frozenset, quads, counter):
-    # quads: tuple of (original index, current label set); counter[0] is
-    # the largest label minted so far
-    if len(labels) == 3:
-        return [(1, {0: sorted(labels)}, [])]
-    s1 = min(range(len(quads)), key=lambda t: sorted(quads[t][1]))
+def _expand(labels: int, quads, counter):
+    # labels: label mask; quads: tuple of (original index, quad mask);
+    # counter[0] is the highest bit minted so far
+    if labels.bit_count() == 3:
+        return [(1, {0: bits_of(labels)}, [])]
+    s1 = min(range(len(quads)), key=lambda t: bits_of(quads[t][1]))
     s1_idx = quads[s1][0]
     out = []
-    for a1, a2 in _splits_of(labels, quads, s1):
+    for a1, a2 in _partitions(labels, [q for _, q in quads], s1):
         star, dag = counter[0] + 1, counter[0] + 2
         counter[0] = dag
-        sub1 = _expand(a1 | {star}, _side_quads(quads, s1, a1, star), counter)
+        sub1 = _expand(a1 | 1 << star, _side_quads(quads, s1, a1, 1 << star), counter)
         if not sub1:
             continue
-        sub2 = _expand(a2 | {dag}, _side_quads(quads, s1, a2, dag), counter)
+        sub2 = _expand(a2 | 1 << dag, _side_quads(quads, s1, a2, 1 << dag), counter)
         for n1, leaves1, edges1 in sub1:
             for n2, leaves2, edges2 in sub2:
                 leaves = {v: list(ls) for v, ls in leaves1.items()}
                 for v, ls in leaves2.items():
                     leaves[v + n1] = list(ls)
                 edges = list(edges1)
-                edges += [(a + n1, b + n1, i, ma, mb) for a, b, i, ma, mb in edges2]
+                edges += [(a + n1, b + n1, i) for a, b, i in edges2]
                 va = next(v for v, ls in leaves.items() if star in ls)
                 vb = next(v for v, ls in leaves.items() if dag in ls)
                 leaves[va] = [x for x in leaves[va] if x != star]
                 leaves[vb] = [x for x in leaves[vb] if x != dag]
-                edges.append((va, vb, s1_idx, star, dag))
+                edges.append((va, vb, s1_idx))
                 out.append((n1 + n2, leaves, edges))
     return out
 
@@ -120,21 +114,17 @@ def contributing_trees(inst) -> tuple[MarkedTree, ...]:
 
     Raises ValueError above TREE_LABEL_CAP labels.
     """
-    labels = inst.labels
-    if len(labels) > TREE_LABEL_CAP:
-        raise ValueError(
-            f"{len(labels)} labels exceed the tree expansion cap {TREE_LABEL_CAP}"
-        )
-    quads = tuple((i, q) for i, q in enumerate(inst.quads))
-    counter = [max(labels)]
+    n, masks = inst.compact()
+    if n > TREE_LABEL_CAP:
+        raise ValueError(f"{n} labels exceed the tree expansion cap {TREE_LABEL_CAP}")
     trees = []
-    for _, leaves, edges in _expand(labels, quads, counter):
+    for _, leaves, edges in _expand((1 << n) - 1, tuple(enumerate(masks)), [n - 1]):
         # marks are unique per expansion step; renumber 1.. within each tree
         tedges = tuple(
             TreeEdge((a, b), i, tuple(sorted(inst.quads[i])),
                      (f"*{t + 1}", f"+{t + 1}"))
-            for t, (a, b, i, _ma, _mb) in enumerate(edges)
+            for t, (a, b, i) in enumerate(edges)
         )
-        tleaves = tuple(tuple(leaves[v]) for v in sorted(leaves))
+        tleaves = tuple(tuple(b + 1 for b in leaves[v]) for v in sorted(leaves))
         trees.append(MarkedTree(tleaves, tedges))
     return tuple(trees)

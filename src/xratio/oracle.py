@@ -158,23 +158,24 @@ def matching_bound(problem: CrossRatioProblem,
     """
     if cap is not None and cap < 0:
         raise ValueError(f"negative cap {cap}")
-    masks = [sum(1 << lab for lab in q) for q in problem.quads]
+    n, masks = problem.compact()
     steps = [MATCHING_STEPS]
     bound = triple = None
     most = None if cap is None else cap + 1  # no chart is counted further
-    for cand in combinations(range(1, problem.n + 1), 3):
-        pinned = sum(1 << lab for lab in cand)
+    for cand in combinations(range(n), 3):
+        pinned = sum(1 << b for b in cand)
         # fewest choices first: the DFS then meets dead ends early
-        rows = sorted((m & ~pinned for m in masks), key=int.bit_count)
+        rows = sorted((q & ~pinned for q in masks), key=int.bit_count)
         perm = sum(1 for _ in islice(_matchings(rows, steps), most))
         if bound is None or perm < bound:
             bound, triple, most = perm, cand, perm
             if perm == 0:
                 break
+    triple = [b + 1 for b in triple]
     freq = {lab: sum(lab in q for q in problem.quads) for lab in triple}
     inf_label = max(triple, key=lambda lab: (freq[lab], -lab))
     zero_label, one_label = (lab for lab in triple if lab != inf_label)
-    unknowns = tuple(lab for lab in range(1, problem.n + 1) if lab not in triple)
+    unknowns = tuple(lab for lab in range(1, n + 1) if lab not in triple)
     return bound, Chart(inf_label, zero_label, one_label, unknowns)
 
 

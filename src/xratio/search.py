@@ -103,19 +103,33 @@ class SearchResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchResult":
+        """Inverse of to_json.  Fields are checked, never coerced: a
+        record with a field of the wrong type or value is a ValueError."""
+        def is_int(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        bad = [key for key in ("n", "best_degree", "evaluations") if not is_int(obj[key])]
+        bad += [key for key in ("seed", "budget")
+                if not (obj.get(key) is None or is_int(obj[key]))]
+        if not isinstance(obj["certified"], bool):
+            bad.append("certified")
+        if obj["mode"] not in ("exhaustive", "heuristic"):
+            bad.append("mode")
+        if bad:
+            raise ValueError(", ".join(f"{key}={obj.get(key)!r}" for key in bad))
         return cls(
-            n=int(obj["n"]),
+            n=obj["n"],
             mode=obj["mode"],
-            best_degree=int(obj["best_degree"]),
+            best_degree=obj["best_degree"],
             witnesses=tuple(
-                CrossRatioProblem(int(obj["n"]), tuple(frozenset(q) for q in w))
+                CrossRatioProblem(obj["n"], tuple(frozenset(q) for q in w))
                 for w in obj["witnesses"]
             ),
-            evaluations=int(obj["evaluations"]),
+            evaluations=obj["evaluations"],
             elapsed=float(obj["elapsed"]),
             seed=obj.get("seed"),
             budget=obj.get("budget"),
-            certified=bool(obj["certified"]),
+            certified=obj["certified"],
         )
 
 

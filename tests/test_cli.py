@@ -74,6 +74,18 @@ def test_verify_nmax_range(capsys):
     assert code == 3
 
 
+def test_negative_cache_cap_and_threads_exit(capsys):
+    code, _ = run(capsys, "--cache-cap", "-1", "degree", "snowflake.json")
+    assert code == 3
+    code, _ = run(capsys, "--cache-cap", "-1", "verify", "--nmax", "5")
+    assert code == 3
+    for threads in ("0", "-3"):
+        code, _ = run(capsys, "--threads", threads, "verify", "--nmax", "5")
+        assert code == 3
+    code, rep = run_json(capsys, "--cache-cap", "0", "degree", "snowflake.json")
+    assert (code, rep["degree"]) == (0, 2)
+
+
 def test_oracle_snowflake_agrees(capsys):
     code, rep = run_json(capsys, "--seed", "5", "oracle", "snowflake.json")
     assert code == 0
@@ -202,6 +214,15 @@ def test_search_resume_corrupt_results_exit(capsys, tmp_path):
     code, _ = run(capsys, "search", "--n", "7", "--budget", "200",
                   "--out", str(out), "--resume")
     assert code == 2
+    # mistyped records are refused, not coerced into a certified n=6 result
+    bad = {"n": 6.9, "mode": "exhaustive", "best_degree": 7, "witnesses": [],
+           "evaluations": 1, "elapsed": 0.0, "seed": None, "budget": None,
+           "certified": "false"}
+    for record in (bad, {**bad, "n": 6}, {**bad, "n": True, "certified": True}):
+        out.write_text(json.dumps(record) + "\n")
+        code, _ = run(capsys, "search", "--n", str(int(record["n"])), "--mode",
+                      "exhaustive", "--out", str(out), "--resume")
+        assert code == 2, record
 
 
 def test_search_rejects_bad_n(capsys, tmp_path):

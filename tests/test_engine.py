@@ -29,7 +29,7 @@ from xratio import (
 )
 from xratio.engine import canon, core
 from xratio.engine.canon import canonical_key, canonical_relabeling
-from xratio.engine.instance import side_form
+from xratio.engine.instance import bits_of, side_form
 from xratio.engine.surplus import find_violation
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
@@ -198,6 +198,9 @@ def test_normalize_properties():
         n = rng.randrange(5, 9)
         p = random_problem(n, rng)
         assert CrossRatioProblem.from_masks(*p.compact()) == p
+        m, masks = p.compact()
+        assert m == n
+        assert [bits_of(q) for q in masks] == [[x - 1 for x in sorted(q)] for q in p.quads]
         norm = normalize(p)
         assert norm.n == n
         assert normalize(norm) == norm
@@ -208,6 +211,24 @@ def test_normalize_properties():
             n, tuple(frozenset(perm[x - 1] for x in q) for q in p.quads)
         )
         assert normalize(relab) == norm
+
+
+def test_partitions_on_sparse_label_mask():
+    # the configuration spread over non-contiguous bits splits exactly as
+    # its side_form renumbering does, bit for bit after renumbering back
+    rng = random.Random(2026)
+    for _ in range(80):
+        n = rng.randrange(5, 11)
+        m, masks = random_problem(n, rng).compact()
+        pos = sorted(rng.sample(range(2 * n), n))
+        full = sum(1 << b for b in pos)
+        sparse = sorted(sum(1 << pos[b] for b in bits_of(q)) for q in masks)
+        dense = tuple(sorted(masks))
+        assert side_form(sparse, full) == (m, dense)
+        for s1 in range(len(sparse)):
+            got = [(side_form([a1], full)[1][0], side_form([a2], full)[1][0])
+                   for a1, a2 in core._partitions(full, sparse, s1)]
+            assert got == list(core._partitions((1 << m) - 1, dense, s1))
 
 
 def test_normalize_separates_nonisomorphic():
@@ -607,6 +628,11 @@ def test_cache_cap_zero_still_correct():
     assert eng.degree(p) == 8
     assert eng.degree(p) == 8
     assert eng.cache_hits == 0
+
+
+def test_cache_cap_negative_rejected():
+    with pytest.raises(ValueError, match="negative cache cap"):
+        Engine(cache_cap=-1)
 
 
 def test_default_engine_shared():

@@ -1,4 +1,5 @@
 import fcntl
+import json
 import multiprocessing
 import time
 
@@ -272,3 +273,12 @@ def test_results_file_corrupt_middle_line(tmp_path):
     path.write_text(whole + '{"n": 6}\n')
     with pytest.raises(ResultsFileError, match="line 2"):
         load_results(str(path))
+    # a field of the wrong type is an error, never coerced to a valid one
+    good = json.loads(whole)
+    for key, value in (("n", 6.9), ("n", True), ("best_degree", "7"),
+                       ("evaluations", 2.0), ("certified", "false"),
+                       ("certified", 1), ("seed", 1.5), ("budget", True),
+                       ("mode", "random")):
+        path.write_text(whole + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(ResultsFileError, match=f"line 2: bad record: .*{key}="):
+            load_results(str(path))

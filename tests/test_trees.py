@@ -60,6 +60,18 @@ def test_snowflake_has_two_trees():
     # the two trees differ in which pair of the split quad goes left
     keys = {tuple(sorted(map(tuple, t.leaves))) for t in trees}
     assert len(keys) == 2
+    # both trees pinned as literals: leaves, and each edge's ends, quad
+    # index and marks
+    assert [(t.leaves, [(e.ends, e.quad_index, e.marks) for e in t.edges])
+            for t in trees] == [
+        (((1, 4), (2, 5), (), (3, 6)),
+         [((1, 2), 2, ("*1", "+1")), ((0, 2), 1, ("*2", "+2")),
+          ((2, 3), 0, ("*3", "+3"))]),
+        (((1, 2), (3, 4), (5, 6), ()),
+         [((2, 3), 1, ("*1", "+1")), ((1, 3), 2, ("*2", "+2")),
+          ((0, 3), 0, ("*3", "+3"))]),
+    ]
+    assert [e.quad for e in trees[0].edges] == [(2, 3, 4, 5), (1, 4, 5, 6), (1, 2, 3, 6)]
 
 
 def test_tree_count_equals_degree():
