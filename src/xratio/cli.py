@@ -34,7 +34,7 @@ from .search import (
     append_result,
     exhaustive_cn,
     heuristic_cn,
-    load_results,
+    resume_result,
 )
 
 DEFAULT_SEED = 1729
@@ -208,24 +208,19 @@ def cmd_search(ns) -> int:
     out = ns.out
     if ns.resume:
         try:
-            recorded = load_results(out)
+            r = resume_result(out, ns.n, ns.mode, ns.budget)
         except ResultsFileError as exc:
             raise CliError(EXIT_PARSE, str(exc))
-        for r in recorded:
-            if r.n == ns.n and r.mode == ns.mode:
-                report = r.to_json()
-                report["resumed"] = True
-                emit(report, ns.fmt)
-                return EXIT_OK
+        if r is not None:
+            report = r.to_json()
+            report["resumed"] = True
+            emit(report, ns.fmt)
+            return EXIT_OK
     engine = Engine(cache_cap=ns.cache_cap)
-    try:
-        if ns.mode == "exhaustive":
-            result = exhaustive_cn(ns.n, engine=engine)
-        else:
-            result = heuristic_cn(ns.n, budget=ns.budget,
-                                  seed=ns.seed, engine=engine)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
+    if ns.mode == "exhaustive":
+        result = exhaustive_cn(ns.n, engine=engine)
+    else:
+        result = heuristic_cn(ns.n, budget=ns.budget, seed=ns.seed, engine=engine)
     append_result(out, result)
     report = result.to_json()
     report["out"] = out

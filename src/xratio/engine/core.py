@@ -63,96 +63,46 @@ def _partitions(full, masks, s1):
     """Admissible splits for the recursion at quad s1 on the label mask full.
 
     Quad s1's two lowest labels seed side 1 and its two highest side 2.
-    Yields (a1, a2) bitmask pairs.  A split is admissible when every other
-    quad meets a1 in a count other than 2 and the quads with >= 3 labels
-    in a1 number exactly |a1| - 2 (then the same holds on side 2).  The
-    search assigns free labels one at a time, propagating quads that are
-    down to their last unplaced label, and prunes branches whose side
-    budgets are already unreachable.
+    Yields (a1, a2) bitmask pairs.  A split is admissible when no other
+    quad meets both sides in 2 or more labels and the quads with >= 3
+    labels in a1 number exactly |a1| - 2 (then the same holds on side 2).
+    Each node first propagates until nothing changes: a quad meeting both
+    sides in 2 or more labels ends the branch, and a quad with 2 labels on
+    one side, 1 on the other and one free label sends that label to the
+    side holding 2.  It then branches on the lowest free label, side 1
+    first, so the splits come in lexicographic order of the free labels'
+    sides, lowest label first and side 1 before side 2.
     """
     b = bits_of(masks[s1])
     p1 = (1 << b[0]) | (1 << b[1])
     p2 = (1 << b[2]) | (1 << b[3])
-    others = [masks[j] for j in range(len(masks)) if j != s1]
-    k = len(others)
-    free0 = full & ~(p1 | p2)
-    c1_0 = [(q & p1).bit_count() for q in others]
-    c2_0 = [(q & p2).bit_count() for q in others]
-    if any(c1_0[j] == 2 and c2_0[j] == 2 for j in range(k)):
-        return  # a duplicate of the split quad straddles every cut
+    others = [q for j, q in enumerate(masks) if j != s1]
 
-    def feasible(a1, a2, free, c1, c2):
-        n1 = a1.bit_count()
-        n2 = a2.bit_count()
-        rem = free.bit_count()
-        lo1 = hi1 = lo2 = hi2 = 0
-        for j in range(k):
-            u = 4 - c1[j] - c2[j]
-            if c1[j] >= 3:
-                lo1 += 1
-            if c2[j] <= 1 and c1[j] + u >= 3:
-                hi1 += 1
-            if c2[j] >= 3:
-                lo2 += 1
-            if c1[j] <= 1 and c2[j] + u >= 3:
-                hi2 += 1
-        if hi1 < n1 - 2 or lo1 > n1 + rem - 2:
-            return False
-        if hi2 < n2 - 2 or lo2 > n2 + rem - 2:
-            return False
-        return True
-
-    def place(b, side, a1, a2, free, c1, c2):
-        # assign bit b, then chase unit forcings; None on contradiction
-        c1 = c1[:]
-        c2 = c2[:]
-        stack = [(b, side)]
-        while stack:
-            bb, s = stack.pop()
-            bit = 1 << bb
-            if not (free & bit):
-                if bool(a1 & bit) != (s == 1):
-                    return None
-                continue
-            free &= ~bit
-            if s == 1:
-                a1 |= bit
-            else:
-                a2 |= bit
-            for j in range(k):
-                q = others[j]
-                if not (q & bit):
-                    continue
-                if s == 1:
-                    c1[j] += 1
-                else:
-                    c2[j] += 1
-                if c1[j] == 2 and c2[j] == 2:
-                    return None
-                if c1[j] + c2[j] == 3:
-                    last = q & free
-                    if last:
-                        if c1[j] == 2:
-                            stack.append((last.bit_length() - 1, 1))
-                        elif c2[j] == 2:
-                            stack.append((last.bit_length() - 1, 2))
-        return a1, a2, free, c1, c2
-
-    def rec(a1, a2, free, c1, c2):
-        if not feasible(a1, a2, free, c1, c2):
-            return
+    def rec(a1, a2, free):
+        forced = True
+        while forced:
+            forced = False
+            for q in others:
+                n1 = (q & a1).bit_count()
+                n2 = (q & a2).bit_count()
+                if n1 >= 2 and n2 >= 2:
+                    return
+                if n1 + n2 == 3 and n1 and n2 and q & free:
+                    if n1 == 2:
+                        a1 |= q & free
+                    else:
+                        a2 |= q & free
+                    free &= ~q
+                    forced = True
         if not free:
-            u1 = sum(1 for j in range(k) if c1[j] >= 3)
-            if u1 == a1.bit_count() - 2:
+            if sum((q & a1).bit_count() >= 3 for q in others) == a1.bit_count() - 2:
                 yield a1, a2
             return
-        b = (free & -free).bit_length() - 1
-        for s in (1, 2):
-            st = place(b, s, a1, a2, free, c1, c2)
-            if st is not None:
-                yield from rec(*st)
+        low = free & -free
+        yield from rec(a1 | low, a2, free ^ low)
+        yield from rec(a1, a2 | low, free ^ low)
 
-    yield from rec(p1, p2, free0, c1_0, c2_0)
+    yield from rec(p1, p2, full & ~(p1 | p2))
 
 
 def _side(m, masks, a):
@@ -245,40 +195,37 @@ def _find_double_cut(m, masks):
 
     The remaining labels split into groups, each group assignable to the
     side of one of the three quads; every other quad must land entirely on
-    one side.  Returns (factor, sides) or None: side s holds quad tri[s]
-    first, then its assigned quads, on tri[s]'s labels and its groups; the
-    factor is 2, or 0 on a side-budget mismatch.
+    one side.  Allowed sides are 3-bit masks: a quad allows side s when it
+    lies within tri[s]'s labels and the remaining labels, and a group the
+    sides every quad meeting it allows.  A group goes to its lowest
+    allowed side, and a quad to the lowest allowed side that holds its
+    remaining labels.  Returns (factor, sides) or None: side s holds quad
+    tri[s] first, then its assigned quads, on tri[s]'s labels and its
+    groups; the factor is 2, or 0 on a side-budget mismatch.
     """
     full = (1 << m) - 1
     k = len(masks)
     for tri in combinations(range(k), 3):
-        qa, qb, qc = (masks[t] for t in tri)
+        covers = [masks[t] for t in tri]
+        qa, qb, qc = covers
         if (qa | qb | qc).bit_count() != 6:
             continue
         if ((qa & qb).bit_count() != 2 or (qb & qc).bit_count() != 2
                 or (qa & qc).bit_count() != 2):
             continue
         rem = full & ~(qa | qb | qc)
-        entries = []
-        ok = True
-        for j in range(k):
-            if j in tri:
-                continue
-            q = masks[j]
-            cs = tuple(
-                s for s, qs in enumerate((qa, qb, qc)) if q & ~(rem | qs) == 0
-            )
-            if not cs:
-                ok = False
-                break
-            entries.append((j, q & rem, cs))
-        if not ok:
+        entries = [
+            (j, masks[j] & rem,
+             sum(1 << s for s in range(3) if masks[j] & ~(rem | covers[s]) == 0))
+            for j in range(k) if j not in tri
+        ]
+        if not all(cs for _, _, cs in entries):
             continue
-        groups: list[tuple[int, set]] = []
+        groups = [(1 << b, 7) for b in bits_of(rem)]
         for _, part, cs in entries:
             if not part:
                 continue
-            merged, allowed = part, set(cs)
+            merged, allowed = part, cs
             keep = []
             for gm, ga in groups:
                 if gm & merged:
@@ -288,26 +235,18 @@ def _find_double_cut(m, masks):
                     keep.append((gm, ga))
             keep.append((merged, allowed))
             groups = keep
-        if any(not ga for _, ga in groups):
+        if not all(ga for _, ga in groups):
             continue
-        covered = 0
-        for gm, _ in groups:
-            covered |= gm
-        for b in bits_of(rem & ~covered):
-            groups.append((1 << b, {0, 1, 2}))
         side_mask = [0, 0, 0]
         for gm, ga in groups:
-            side_mask[min(ga)] |= gm
+            side_mask[(ga & -ga).bit_length() - 1] |= gm
         side_idx: list[list[int]] = [[], [], []]
         for j, part, cs in entries:
-            if part:
-                s = next(s for s in cs if part & side_mask[s] == part)
-            else:
-                s = cs[0]  # a quad inside two of the three covers > 4 labels
+            s = next(s for s in range(3) if cs >> s & 1 and part & ~side_mask[s] == 0)
             side_idx[s].append(j)
         fits = all(len(side_idx[s]) == side_mask[s].bit_count() for s in range(3))
         return (2 if fits else 0), tuple(
-            ((tri[s], *side_idx[s]), side_mask[s] | masks[tri[s]]) for s in range(3)
+            ((tri[s], *side_idx[s]), side_mask[s] | covers[s]) for s in range(3)
         )
     return None
 

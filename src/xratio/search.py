@@ -35,6 +35,7 @@ __all__ = [
     "ResultsFileError",
     "append_result",
     "load_results",
+    "resume_result",
 ]
 
 # Best degrees from recorded searches (exact up to EXHAUSTIVE_CERTIFIED,
@@ -74,6 +75,21 @@ def bound_report(n: int) -> BoundReport:
         upper = 2 ** (n - 5)
     return BoundReport(n, lower, upper, RECORDS.get(n),
                        n <= EXHAUSTIVE_CERTIFIED)
+
+
+def _check_args(n: int, mode: str, budget: int = 1) -> None:
+    """ValueError on the arguments exhaustive_cn (mode "exhaustive") or
+    heuristic_cn refuses."""
+    if mode == "exhaustive":
+        if n < 3:
+            raise ValueError("need n >= 3")
+        if n > EXHAUSTIVE_CERTIFIED:
+            raise ValueError(f"exhaustive search covers n <= {EXHAUSTIVE_CERTIFIED}")
+    else:
+        if n < 6:
+            raise ValueError("heuristic search needs n >= 6; below that use exhaustive_cn")
+        if budget < 1:
+            raise ValueError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,10 +171,7 @@ def exhaustive_cn(n: int, engine: Engine | None = None) -> SearchResult:
     deficiency, so the last level is exactly the nonvanishing classes,
     which `evaluations` counts.  n = 9 takes about 85 s.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n > EXHAUSTIVE_CERTIFIED:
-        raise ValueError(f"exhaustive search covers n <= {EXHAUSTIVE_CERTIFIED}")
+    _check_args(n, "exhaustive")
     eng = engine or Engine()
     t0 = time.perf_counter()
     all_quads = [sum(1 << b for b in c) for c in combinations(range(n), 4)]
@@ -215,10 +228,7 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
     SIDEWAYS_CAP in a row, and a climb restarts after STALL_CAP rejected
     moves.  The budget counts engine evaluations.
     """
-    if n < 6:
-        raise ValueError("heuristic search needs n >= 6; below that use exhaustive_cn")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _check_args(n, "heuristic", budget)
     rng = random.Random(seed)
     eng = engine or Engine()
     t0 = time.perf_counter()
@@ -273,7 +283,9 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
 
 
 class ResultsFileError(ValueError):
-    """A results file holds a record that is neither valid nor a torn tail."""
+    """A results file is not UTF-8, holds a record that is neither valid
+    nor a torn tail, or holds a resumed record the search could not have
+    written."""
 
 
 def append_result(path: str, result: SearchResult) -> None:
@@ -300,20 +312,23 @@ def append_result(path: str, result: SearchResult) -> None:
         fh.write(record)
 
 
-def load_results(path: str) -> list[SearchResult]:
-    """Records of a results file; a missing file has none.
+def _records(path: str):
+    """(line number, record) for each record of a results file; a missing
+    file has none.
 
     An unparseable last line is the torn tail of an interrupted append and
-    is skipped.  Any other bad line raises ResultsFileError.
+    is skipped.  Any other bad line, or bytes that are not UTF-8, raise
+    ResultsFileError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except FileNotFoundError:
-        return []
+        return
+    except UnicodeDecodeError as exc:
+        raise ResultsFileError(f"{path}: {exc}") from exc
     while lines and not lines[-1].strip():
         lines.pop()
-    out = []
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -324,7 +339,39 @@ def load_results(path: str) -> list[SearchResult]:
                 break
             raise ResultsFileError(f"{path}: line {i + 1}: {exc}") from exc
         try:
-            out.append(SearchResult.from_json(obj))
+            yield i + 1, SearchResult.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ResultsFileError(f"{path}: line {i + 1}: bad record: {exc}") from exc
-    return out
+
+
+def load_results(path: str) -> list[SearchResult]:
+    """Records of a results file, read as `_records` reads them."""
+    return [r for _, r in _records(path)]
+
+
+def resume_result(path: str, n: int, mode: str, budget: int = 1) -> SearchResult | None:
+    """The first record of a results file for n and mode, or None.
+
+    The whole file is read first, so a bad file raises ResultsFileError
+    even where the search refuses n, mode or budget, which then raises
+    ValueError.  The record must be one the search could have written:
+    certified exactly in exhaustive mode, best_degree within
+    bound_report(n), and a first witness whose degree is best_degree;
+    otherwise ResultsFileError names its line.
+    """
+    records = list(_records(path))
+    _check_args(n, mode, budget)
+    for line, r in records:
+        if (r.n, r.mode) != (n, mode):
+            continue
+        b = bound_report(n)
+        if not (r.certified == (mode == "exhaustive")
+                and b.lower <= r.best_degree <= b.upper
+                and r.witnesses
+                and Engine().degree(r.witnesses[0]) == r.best_degree):
+            raise ResultsFileError(
+                f"{path}: line {line}: not a result of this search: "
+                f"best_degree={r.best_degree}, certified={r.certified}, "
+                f"{len(r.witnesses)} witnesses")
+        return r
+    return None

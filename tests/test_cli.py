@@ -223,6 +223,36 @@ def test_search_resume_corrupt_results_exit(capsys, tmp_path):
         code, _ = run(capsys, "search", "--n", str(int(record["n"])), "--mode",
                       "exhaustive", "--out", str(out), "--resume")
         assert code == 2, record
+    out.write_bytes(b"\xff\xfe" + json.dumps({**bad, "n": 6}).encode() + b"\n")
+    code, _ = run(capsys, "search", "--n", "6", "--mode", "exhaustive",
+                  "--out", str(out), "--resume")
+    assert code == 2  # not UTF-8
+
+
+def test_search_resume_refuses_records_the_search_cannot_write(capsys, tmp_path):
+    out = tmp_path / "runs.jsonl"
+    record = {"n": 6, "mode": "exhaustive", "best_degree": 7, "witnesses": [],
+              "evaluations": 1, "elapsed": 0.0, "seed": None, "budget": None,
+              "certified": True}
+    # above the upper bound 2 at n=6, and no witness
+    out.write_text("\n" + json.dumps(record) + "\n")
+    code = main(["search", "--n", "6", "--mode", "exhaustive",
+                 "--out", str(out), "--resume"])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+    # a witness whose degree (0) is not the recorded best degree
+    heuristic = {**record, "n": 7, "mode": "heuristic", "best_degree": 2,
+                 "witnesses": [[[1, 2, 3, 4]] * 4], "seed": 1, "budget": 200,
+                 "certified": False}
+    out.write_text(json.dumps(heuristic) + "\n")
+    code, _ = run(capsys, "search", "--n", "7", "--budget", "200",
+                  "--out", str(out), "--resume")
+    assert code == 2
+    # a certified exhaustive record where the search refuses to run
+    out.write_text(json.dumps({**record, "n": 12, "best_degree": 22}) + "\n")
+    code, _ = run(capsys, "search", "--n", "12", "--mode", "exhaustive",
+                  "--out", str(out), "--resume")
+    assert code == 3
 
 
 def test_search_rejects_bad_n(capsys, tmp_path):

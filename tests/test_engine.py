@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -229,6 +229,44 @@ def test_partitions_on_sparse_label_mask():
             got = [(side_form([a1], full)[1][0], side_form([a2], full)[1][0])
                    for a1, a2 in core._partitions(full, sparse, s1)]
             assert got == list(core._partitions((1 << m) - 1, dense, s1))
+
+
+def test_partitions_order_matches_brute_force():
+    # every side assignment of the free labels, lowest label first and
+    # side 1 before side 2, kept when admissible: the order in which
+    # contributing_trees mints its marks
+    def brute(full, masks, s1):
+        b = bits_of(masks[s1])
+        p1 = (1 << b[0]) | (1 << b[1])
+        p2 = (1 << b[2]) | (1 << b[3])
+        free = bits_of(full & ~(p1 | p2))
+        others = [q for j, q in enumerate(masks) if j != s1]
+        out = []
+        for sides in product((1, 2), repeat=len(free)):
+            a1 = p1 | sum(1 << x for x, s in zip(free, sides) if s == 1)
+            a2 = full & ~a1
+            if any((q & a1).bit_count() >= 2 and (q & a2).bit_count() >= 2
+                   for q in others):
+                continue
+            if sum((q & a1).bit_count() >= 3 for q in others) == a1.bit_count() - 2:
+                out.append((a1, a2))
+        return out
+
+    rng = random.Random(17)
+    splits = 0
+    for i in range(140):
+        n = 5 + i % 7
+        m, masks = random_problem(n, rng).compact()
+        full = (1 << m) - 1
+        if i % 3 == 0:  # spread over non-contiguous bits
+            pos = sorted(rng.sample(range(2 * n), n))
+            full = sum(1 << b for b in pos)
+            masks = tuple(sum(1 << pos[b] for b in bits_of(q)) for q in masks)
+        for s1 in range(len(masks)):
+            want = brute(full, masks, s1)
+            assert list(core._partitions(full, masks, s1)) == want
+            splits += len(want)
+    assert splits > 500
 
 
 def test_normalize_separates_nonisomorphic():
