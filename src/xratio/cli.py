@@ -184,8 +184,6 @@ def cmd_oracle(ns) -> int:
     except PathBudgetError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_INCONCLUSIVE
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
     report = fc.to_json()
     engine_degree = Engine(cache_cap=ns.cache_cap).degree(problem)
     report["engine_degree"] = engine_degree

@@ -46,10 +46,6 @@ class MarkedTree:
     leaves: tuple[tuple, ...]          # vertex -> labels still attached there
     edges: tuple[TreeEdge, ...]
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.leaves)
-
     def to_json(self) -> dict:
         return {
             "vertices": list(range(len(self.leaves))),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .engine import CrossRatioProblem
@@ -42,8 +41,16 @@ Diagonal = tuple[int, int]
 ENUMERATION_CAP = 12  # largest n enumerate_triangulations (and verify) covers
 
 
+def _check_n(n, least: int = 3) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"need an integer n >= {least}, got {n!r}")
+
+
 def _norm_diagonal(n: int, d) -> Diagonal:
-    u, v = sorted(d)
+    ends = sorted(d)
+    if len(ends) != 2:
+        raise ValueError(f"diagonal {d!r} does not have 2 vertices")
+    u, v = ends
     if u == v:
         raise ValueError(f"degenerate diagonal {d!r}")
     if not (all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v))
@@ -52,24 +59,6 @@ def _norm_diagonal(n: int, d) -> Diagonal:
     if v - u == 1 or (u == 1 and v == n):
         raise ValueError(f"{d!r} is a polygon side, not a diagonal")
     return (u, v)
-
-
-def diagonals_cross(n: int, d1: Diagonal, d2: Diagonal) -> bool:
-    """True when the two diagonals cross in the open interior.
-
-    {u,v} and {x,y} cross iff x and y separate u and v on the circle;
-    sharing an endpoint does not count as crossing.
-    """
-    u, v = d1
-    x, y = d2
-    if {u, v} & {x, y}:
-        return False
-
-    def between(a, b, c):
-        # c strictly inside the arc a -> b (counterclockwise)
-        return (c - a) % n < (b - a) % n and c != a
-
-    return between(u, v, x) != between(u, v, y)
 
 
 @dataclass(frozen=True)
@@ -93,16 +82,23 @@ class Triangulation:
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
-            raise ValueError(f"need an integer n >= 3, got {self.n!r}")
+        _check_n(self.n)
         diags = tuple(sorted(_norm_diagonal(self.n, d) for d in self.diagonals))
         if len(set(diags)) != len(diags):
             raise ValueError("repeated diagonal")
         if len(diags) != self.n - 3:
             raise ValueError(f"need {self.n - 3} diagonals, got {len(diags)}")
-        for d1, d2 in combinations(diags, 2):
-            if diagonals_cross(self.n, d1, d2):
-                raise ValueError(f"diagonals {d1} and {d2} cross")
+        # As intervals [u, v] on 1..n, diagonals cross iff they overlap
+        # without nesting.  In (u, -v) order the stack holds the diagonals
+        # enclosing u, each inside the one below, so only the top can cross.
+        stack: list[Diagonal] = []
+        for d in sorted(diags, key=lambda d: (d[0], -d[1])):
+            u, v = d
+            while stack and stack[-1][1] <= u:
+                stack.pop()
+            if stack and stack[-1][1] < v:
+                raise ValueError(f"diagonals {stack[-1]} and {d} cross")
+            stack.append(d)
         object.__setattr__(self, "diagonals", diags)
 
     def to_json(self) -> dict:
@@ -130,29 +126,33 @@ def triangulation_to_problem(t: Triangulation) -> CrossRatioProblem:
 
 
 def triangles_of(t: Triangulation) -> tuple[Triangle, ...]:
-    """The n-2 triangular faces.
+    """The n-2 triangular faces, in lexicographic order of their vertices.
 
     In a convex polygon a vertex triple is a face iff all three of its
     connecting segments are sides or diagonals of the triangulation: any
     segment of the triple splits the polygon, and the other triangulation
-    edges never cross it, so the triple bounds an empty triangle.
+    edges never cross it, so the triple bounds an empty triangle.  The
+    faces are thus the triangles a < b < c of the edge graph: b a
+    neighbour of a, and c a neighbour of both.
     """
-    edges = set(t.diagonals)
-    for k in range(1, t.n):
-        edges.add((k, k + 1))
-    edges.add((1, t.n))
-
-    def is_side(a, b):
-        a, b = sorted((a, b))
-        return b - a == 1 or (a == 1 and b == t.n)
-
+    n = t.n
+    adj = {v: {(v - 2) % n + 1, v % n + 1} for v in range(1, n + 1)}
+    for u, v in t.diagonals:
+        adj[u].add(v)
+        adj[v].add(u)
     faces = []
-    for a, b, c in combinations(range(1, t.n + 1), 3):
-        if (a, b) in edges and (b, c) in edges and (a, c) in edges:
-            ext = sum(1 for e in ((a, b), (b, c), (a, c)) if is_side(*e))
-            faces.append(Triangle((a, b, c), ext))
+    for a in range(1, n + 1):
+        for b in sorted(adj[a]):
+            if b < a:
+                continue
+            for c in sorted(adj[a] & adj[b]):
+                if c < b:
+                    continue
+                # (a, c) skips b, so it is a side only as (1, n)
+                ext = (b - a == 1) + (c - b == 1) + (a == 1 and c == n)
+                faces.append(Triangle((a, b, c), ext))
     faces = tuple(faces)
-    assert len(faces) == t.n - 2
+    assert len(faces) == n - 2
     return faces
 
 
@@ -174,8 +174,7 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     1..k and k..n.  Yields Catalan(n-2) triangulations; n is capped at
     ENUMERATION_CAP.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
 
@@ -211,8 +210,7 @@ def random_triangulation(n: int, seed: int) -> Triangulation:
     {i, j+1}.  The root spans all of 1..n-1, which is the side (n, 1),
     so only non-root internal nodes contribute diagonals.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
     rng = random.Random(seed)
     leaves = n - 1
 
@@ -265,8 +263,7 @@ def inscribed_polygon_triangulation(n: int) -> Triangulation:
     are internal, so the degree is 2 ** (floor(n/2) - 2), the maximum a
     triangulation can reach at this n.
     """
-    if n < 6:
-        raise ValueError("need n >= 6")
+    _check_n(n, 6)
     m = n // 2
     diags: list[Diagonal] = []
     if n % 2 == 0:

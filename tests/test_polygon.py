@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_diagonals, brute_triangulations, catalan, geometric_cross
+from oracles import all_diagonals, brute_triangulations, catalan
 from xratio import (
     Triangulation,
     closed_formula_degree,
@@ -16,7 +16,7 @@ from xratio import (
     triangles_of,
     triangulation_to_problem,
 )
-from xratio.polygon import diagonals_cross
+from xratio.polygon import Triangle
 
 GON13_DIAGONALS = ((1, 3), (1, 4), (1, 10), (1, 12), (4, 6), (4, 9),
                      (4, 10), (6, 8), (6, 9), (10, 12))
@@ -47,6 +47,9 @@ def test_diagonal_to_quad_rejects_sides():
         diagonal_to_quad(6, (1, 6))
     with pytest.raises(ValueError):
         diagonal_to_quad(6, (0, 3))
+    for d in ((), (3,), (1, 3, 5)):
+        with pytest.raises(ValueError, match="does not have 2 vertices"):
+            diagonal_to_quad(6, d)
 
 
 def test_diagonal_to_quad_injective():
@@ -61,10 +64,16 @@ def test_diagonal_to_quad_injective():
     assert diagonal_to_quad(4, (1, 3)) == diagonal_to_quad(4, (2, 4))
 
 
-def test_crossing_matches_geometry():
-    for n in (5, 6, 8, 9, 13):
-        for d1, d2 in combinations(all_diagonals(n), 2):
-            assert diagonals_cross(n, d1, d2) == geometric_cross(n, d1, d2), (n, d1, d2)
+def test_validation_accepts_exactly_the_noncrossing_sets():
+    # brute_triangulations filters by the geometry of the inscribed polygon
+    for n in range(4, 9):
+        valid = brute_triangulations(n)
+        for sub in combinations(all_diagonals(n), n - 3):
+            if frozenset(sub) in valid:
+                assert Triangulation(n, sub).diagonals == tuple(sorted(sub))
+            else:
+                with pytest.raises(ValueError, match="cross"):
+                    Triangulation(n, sub)
 
 
 def test_13gon_quads_golden():
@@ -94,6 +103,21 @@ def test_triangulation_validation():
             Triangulation(n, ((1, 3), (3, 5), (1, 5)))
     with pytest.raises(ValueError, match="integer n"):
         Triangulation.from_json({"n": "6", "diagonals": [[1, 3], [3, 5], [1, 5]]})
+    for bad in ([1, 3, 5], [1], []):
+        with pytest.raises(ValueError, match="does not have 2 vertices"):
+            Triangulation.from_json({"n": 6, "diagonals": [bad, [3, 5], [1, 5]]})
+
+
+def test_constructors_check_n():
+    for n in (5.0, 2.0, True, "5", 2):
+        with pytest.raises(ValueError, match="need an integer n >= 3"):
+            list(enumerate_triangulations(n))
+    for n in (6.5, 6.0, True, 2):
+        with pytest.raises(ValueError, match="need an integer n >= 3"):
+            random_triangulation(n, 1)
+    for n in (7.0, "8", 5):
+        with pytest.raises(ValueError, match="need an integer n >= 6"):
+            inscribed_polygon_triangulation(n)
 
 
 def test_triangulation_json_roundtrip():
@@ -108,6 +132,26 @@ def test_triangles_of_13gon():
     internal = sorted(f.vertices for f in faces if f.internal)
     assert internal == [(1, 4, 10), (1, 10, 12), (4, 6, 9)]
     assert sum(f.exterior_sides for f in faces) == 13
+
+
+def triple_scan_faces(t):
+    """Faces by testing every vertex triple: the direct reference."""
+    edges = set(t.diagonals) | {(k, k + 1) for k in range(1, t.n)} | {(1, t.n)}
+
+    def is_side(a, b):
+        return b - a == 1 or (a == 1 and b == t.n)
+
+    return tuple(
+        Triangle((a, b, c), sum(is_side(*e) for e in ((a, b), (b, c), (a, c))))
+        for a, b, c in combinations(range(1, t.n + 1), 3)
+        if {(a, b), (b, c), (a, c)} <= edges
+    )
+
+
+def test_faces_match_triple_scan():
+    for n in range(3, 10):
+        for t in enumerate_triangulations(n):
+            assert triangles_of(t) == triple_scan_faces(t), t
 
 
 def test_triangle_face_counts():

@@ -14,7 +14,7 @@ SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 def check_tree_structure(tree, problem):
     """Structural invariants of one contributing tree."""
     n = problem.n
-    v = tree.vertex_count
+    v = len(tree.leaves)
     assert v == n - 2
     assert len(tree.edges) == n - 3
     # every vertex is trivalent: leaf labels plus incident edge ends
