@@ -14,6 +14,10 @@ a violating U' exists iff for some 3-set R of labels the bipartite graph
     quad by alternating paths certify a set U' with at most |U'| - 1
     neighbors outside R, hence at most |U'| + 2 labels in total.
 
+`quad_charts` lists those R and `hall_failure` is the package's one Hall
+test; `oracle.matching_bound` scans the same charts (R pinned at inf, 0,
+1) with it.
+
 This is a certificate API, not part of the degree path: the splitting
 recursion in `core` already returns 0 on every such input, and
 `surplus_violated` names the sub-collection that explains the zero.
@@ -26,19 +30,28 @@ from itertools import combinations
 
 from .instance import bits_of
 
-__all__ = ["find_violation", "surplus_violated"]
+__all__ = ["find_violation", "hall_failure", "quad_charts", "surplus_violated"]
 
 
-def _kuhn(adj: list[int], m: int) -> tuple[int, ...] | None:
-    """Match each quad to a distinct label bit from its adjacency mask.
+def quad_charts(masks) -> list[tuple[int, int, int]]:
+    """The distinct 3-subsets of single quads, as bit triples in
+    lexicographic order; with no quads, the one chart (0, 1, 2)."""
+    if not masks:
+        return [(0, 1, 2)]
+    return sorted({r for q in masks for r in combinations(bits_of(q), 3)})
+
+
+def hall_failure(m: int, masks, chart: tuple[int, int, int]) -> tuple[int, ...] | None:
+    """Match each quad to a distinct one of its m labels outside chart.
 
     Returns None if every quad is matched; otherwise the indices of an
     unsaturatable quad set (the alternating-path closure of the failure).
     """
+    pinned = sum(1 << b for b in chart)
     owner = [-1] * m  # label bit -> quad index
 
     def augment(j: int, visited: list[bool]) -> bool:
-        for b in bits_of(adj[j]):
+        for b in bits_of(masks[j] & ~pinned):
             if visited[b]:
                 continue
             visited[b] = True
@@ -47,7 +60,7 @@ def _kuhn(adj: list[int], m: int) -> tuple[int, ...] | None:
                 return True
         return False
 
-    for j in range(len(adj)):
+    for j in range(len(masks)):
         visited = [False] * m
         if not augment(j, visited):
             bad = {j}
@@ -60,30 +73,8 @@ def _kuhn(adj: list[int], m: int) -> tuple[int, ...] | None:
 
 def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
     """Indices of a vanishing certificate U', or None if the test passes."""
-    k = len(masks)
-    if k == 0:
-        return None
-
-    # cheap pre-scans: duplicate quads, and triples spanning <= 5 labels
-    for i in range(k - 1):
-        if masks[i] == masks[i + 1]:
-            return (i, i + 1)
-    for i, j, l in combinations(range(k), 3):
-        if (masks[i] | masks[j] | masks[l]).bit_count() <= 5:
-            return (i, j, l)
-
-    seen = set()
-    for j in range(k):
-        for r3 in combinations(bits_of(masks[j]), 3):
-            r_mask = sum(1 << b for b in r3)
-            if r_mask in seen:
-                continue
-            seen.add(r_mask)
-            adj = [q & ~r_mask for q in masks]
-            bad = _kuhn(adj, m)
-            if bad is not None:
-                return bad
-    return None
+    failures = (hall_failure(m, masks, chart) for chart in quad_charts(masks))
+    return next((bad for bad in failures if bad is not None), None)
 
 
 def surplus_violated(inst) -> tuple[int, ...] | None:

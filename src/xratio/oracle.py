@@ -11,8 +11,10 @@ form, four affine factors per equation.  It has degree at most 1 in each
 unknown and is supported on the unknowns of its quad.  So the
 multihomogeneous Bezout number with one group per unknown is the
 permanent of the 0/1 matrix "quad j holds unknown i", the number
-of perfect matchings of quads to unknowns.  One enumerator, `_matchings`,
-lists them: `matching_bound` counts them chart by chart, stopping at the
+of perfect matchings of quads to unknowns.  The charts pin three labels
+of one quad, as listed by `engine.surplus`, whose Hall test finds the
+charts with none.  One enumerator, `_matchings`, lists the others'
+matchings: `matching_bound` counts them chart by chart, stopping at the
 least count found so far, and pins the three labels that make it
 smallest; the homotopy takes its start roots from it.  Each enumeration
 has MATCHING_STEPS search steps, so a call's work is bounded.
@@ -39,6 +41,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .engine import CrossRatioProblem
+from .engine.surplus import hall_failure, quad_charts
 
 __all__ = [
     "INFINITY",
@@ -143,34 +146,38 @@ def _matchings(rows: list[int], steps: list[int]):
 
 def matching_bound(problem: CrossRatioProblem,
                    cap: int | None = None) -> tuple[int, Chart]:
-    """The least permanent, over the C(n,3) pinned label triples, of the
-    0/1 matrix "quad j holds unknown i", and the chart that attains it.
+    """The least permanent, over the charts of `surplus.quad_charts`, of
+    the 0/1 matrix "quad j holds unknown i", and the chart that attains it.
 
-    Every permanent bounds the degree from above, and a permanent of 0
-    means the degree is 0.  Ties go to the first triple in lexicographic
-    order, so the first chart is counted up to cap + 1 (in full without a
-    cap) and every later one only up to the least count so far; a bound
-    above the cap is returned as cap + 1.  The whole scan takes at most
-    MATCHING_STEPS search steps, else PathBudgetError.  Of the pinned
-    labels, the one in the most quads (on a tie, the smaller) goes to
-    infinity, which makes its quads' equations linear, and the other two
-    go to 0 and 1 in ascending order.  A negative cap is a ValueError.
+    Every permanent bounds the degree from above.  A chart failing the
+    Hall test `surplus.hall_failure` has permanent 0, and one fails
+    exactly when the degree is 0: the first is returned with bound 0
+    before any matching is counted.  Otherwise ties go to the first chart
+    in lexicographic order, so the first chart is counted up to cap + 1
+    (in full without a cap) and every later one only up to the least
+    count so far; a bound above the cap is returned as cap + 1.  The
+    count takes at most MATCHING_STEPS search steps, else
+    PathBudgetError.  Of the pinned labels, the one in the most quads (on
+    a tie, the smaller) goes to infinity, which makes its quads' equations
+    linear, and the other two go to 0 and 1 in ascending order.  A
+    negative cap is a ValueError.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"negative cap {cap}")
     n, masks = problem.compact()
-    steps = [MATCHING_STEPS]
-    bound = triple = None
-    most = None if cap is None else cap + 1  # no chart is counted further
-    for cand in combinations(range(n), 3):
-        pinned = sum(1 << b for b in cand)
-        # fewest choices first: the DFS then meets dead ends early
-        rows = sorted((q & ~pinned for q in masks), key=int.bit_count)
-        perm = sum(1 for _ in islice(_matchings(rows, steps), most))
-        if bound is None or perm < bound:
-            bound, triple, most = perm, cand, perm
-            if perm == 0:
-                break
+    charts = quad_charts(masks)
+    bound = 0
+    triple = next((r for r in charts if hall_failure(n, masks, r) is not None), None)
+    if triple is None:
+        steps = [MATCHING_STEPS]
+        most = None if cap is None else cap + 1  # no chart is counted further
+        for cand in charts:
+            pinned = sum(1 << b for b in cand)
+            # fewest choices first: the DFS then meets dead ends early
+            rows = sorted((q & ~pinned for q in masks), key=int.bit_count)
+            perm = sum(1 for _ in islice(_matchings(rows, steps), most))
+            if triple is None or perm < bound:
+                bound, triple, most = perm, cand, perm
     triple = [b + 1 for b in triple]
     freq = {lab: sum(lab in q for q in problem.quads) for lab in triple}
     inf_label = max(triple, key=lambda lab: (freq[lab], -lab))
@@ -574,7 +581,8 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
             Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
         )
         systems.append(build_system(problem, targets, chart))
-    results = solve_total_degree(systems, seeds)
+    # bound 0: every chart is dead, so there is no start root to track
+    results = solve_total_degree(systems, seeds) if bound else []
 
     counts = []
     tracked = conv = div = fail = 0

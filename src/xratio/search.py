@@ -20,6 +20,7 @@ from itertools import combinations
 from .engine import CrossRatioProblem, Engine, canonical_key, normalize
 from .engine.surplus import find_violation
 from .polygon import (
+    _check_n,
     inscribed_polygon_triangulation,
     random_triangulation,
     triangulation_to_problem,
@@ -66,8 +67,7 @@ class BoundReport:
 
 
 def bound_report(n: int) -> BoundReport:
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
     if n <= 4:
         lower = upper = 1
     else:
@@ -80,9 +80,8 @@ def bound_report(n: int) -> BoundReport:
 def _check_args(n: int, mode: str, budget: int = 1) -> None:
     """ValueError on the arguments exhaustive_cn (mode "exhaustive") or
     heuristic_cn refuses."""
+    _check_n(n)
     if mode == "exhaustive":
-        if n < 3:
-            raise ValueError("need n >= 3")
         if n > EXHAUSTIVE_CERTIFIED:
             raise ValueError(f"exhaustive search covers n <= {EXHAUSTIVE_CERTIFIED}")
     else:

@@ -263,21 +263,40 @@ def reference_key(n: int, quads):
     return reference_canon(n, tuple(sum(1 << (x - 1) for x in q) for q in quads))[0]
 
 
-def brute_matching_bound(n: int, quads):
-    """(bound, (inf, zero, one)) of `matching_bound`, from its documented
-    rules: the permanent of "quad j holds unknown i" over all permutations,
-    the least over all pinned triples with the first triple in
-    lexicographic order winning ties, the pinned label in the most quads
+def _permanent(n: int, quads, pinned) -> int:
+    """Perfect matchings of quads to the labels outside pinned, over all
+    permutations of those labels."""
+    unknowns = [lab for lab in range(1, n + 1) if lab not in pinned]
+    return sum(all(unknowns[i] in q for q, i in zip(quads, order))
+               for order in permutations(range(len(unknowns))))
+
+
+def _least_chart(n: int, quads, charts):
+    """(least permanent, (inf, zero, one)) over charts, the first chart
+    in the given order winning ties, the pinned label in the most quads
     (the smaller on a tie) at infinity and the other two in ascending
     order."""
     best = triple = None
-    for cand in combinations(range(1, n + 1), 3):
-        unknowns = [lab for lab in range(1, n + 1) if lab not in cand]
-        perm = sum(all(unknowns[i] in q for q, i in zip(quads, order))
-                   for order in permutations(range(len(unknowns))))
+    for cand in charts:
+        perm = _permanent(n, quads, cand)
         if best is None or perm < best:
             best, triple = perm, cand
     in_quads = {lab: sum(lab in q for q in quads) for lab in triple}
     inf = max(triple, key=lambda lab: (in_quads[lab], -lab))
     zero, one = sorted(lab for lab in triple if lab != inf)
     return best, (inf, zero, one)
+
+
+def brute_matching_bound(n: int, quads):
+    """(bound, (inf, zero, one)) of `matching_bound`, from its documented
+    rules: the least permanent of "quad j holds unknown i" over the
+    distinct 3-subsets of single quads pinned, in lexicographic order
+    (labels 1, 2, 3 when there are no quads)."""
+    charts = sorted({c for q in quads for c in combinations(sorted(q), 3)}) or [(1, 2, 3)]
+    return _least_chart(n, quads, charts)
+
+
+def brute_all_triples_bound(n: int, quads):
+    """The same least permanent over all C(n,3) pinned triples: a lower
+    bound on `brute_matching_bound`, which scans a subset of them."""
+    return _least_chart(n, quads, combinations(range(1, n + 1), 3))

@@ -144,6 +144,20 @@ def test_oracle_large_input_exits_inconclusive(capsys, tmp_path):
     assert time.perf_counter() - t0 < 60
 
 
+def test_oracle_large_vanishing_input_tracks_no_path(capsys, tmp_path):
+    # 37 unknowns, but a label-deficient input: the Hall test gives bound
+    # 0 before any matching is counted, and no start root is searched
+    problem = random_problem(40, random.Random(5))
+    path = tmp_path / "random40.json"
+    path.write_text(json.dumps(problem.to_json()))
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, "oracle", str(path))
+    assert code == 0
+    assert (rep["count"], rep["bound"], rep["paths_tracked"]) == (0, 0, 0)
+    assert rep["agrees"] is True
+    assert time.perf_counter() - t0 < 30
+
+
 def test_search_exhaustive_and_resume(capsys, tmp_path):
     out = str(tmp_path / "runs.jsonl")
     code, rep = run_json(capsys, "search", "--n", "6",

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_matching_bound, brute_vanishes, random_problem
+from oracles import brute_all_triples_bound, brute_matching_bound, brute_vanishes, random_problem
 from xratio import (
     INFINITY,
     CrossRatioProblem,
@@ -26,7 +26,7 @@ from xratio import (
     solve_total_degree,
     triangulation_to_problem,
 )
-from xratio.oracle import TRIALS, _near_degenerate, _solve, _start_eval, _target_eval
+from xratio.oracle import TRIALS, Chart, _near_degenerate, _solve, _start_eval, _target_eval
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 
@@ -272,13 +272,18 @@ def test_matching_bound_bounds_every_nonvanishing_class(exhaustive_runs):
 
 
 def test_matching_bound_matches_brute_reference():
-    # the exact bound and chart, tie rules included, against permutations
+    # the exact bound and chart, tie rules included, against permutations;
+    # the charts inside a quad are a subset of all pinned triples, so the
+    # bound is never below the least over all of them, and 0 exactly when
+    # that is
     rng = random.Random(31)
     for i in range(150):
         p = random_problem(5 + i % 5, rng)
         bound, chart = matching_bound(p)
         assert (bound, (chart.inf_label, chart.zero_label, chart.one_label)) \
             == brute_matching_bound(p.n, p.quads), p.quads
+        least = brute_all_triples_bound(p.n, p.quads)[0]
+        assert bound >= least and (bound == 0) == (least == 0), p.quads
         assert matching_bound(p, cap=1)[0] == min(bound, 2), p.quads
     # a negative cap would read as a bound of 0, i.e. degree 0
     p = triangulation_to_problem(inscribed_polygon_triangulation(8))
@@ -287,6 +292,14 @@ def test_matching_bound_matches_brute_reference():
         matching_bound(p, cap=-1)
     with pytest.raises(ValueError):
         numeric_degree(p, path_cap=-1)
+
+
+def test_matching_bound_inscribed_within_steps():
+    # the quad charts of the inscribed 21-gon and 25-gon are counted within
+    # MATCHING_STEPS; a scan of all C(n,3) triples needs 7.7M steps at n=21
+    for n, bound in ((21, 256), (25, 1024)):
+        p = triangulation_to_problem(inscribed_polygon_triangulation(n))
+        assert matching_bound(p) == (bound, Chart(1, 2, 3, tuple(range(4, n + 1)))), n
 
 
 def test_paths_tracked_is_trials_times_bound():

@@ -201,6 +201,17 @@ def test_heuristic_rejects_small_n():
         heuristic_cn(5, budget=100, seed=1)
 
 
+def test_non_integer_n_rejected():
+    # the check the polygon constructors use: a float or bool n is a
+    # ValueError, not a TypeError from deep inside, nor float bounds
+    for call in (lambda: heuristic_cn(7.0, budget=10, seed=1),
+                 lambda: exhaustive_cn(6.0),
+                 lambda: bound_report(6.0),
+                 lambda: bound_report(True)):
+        with pytest.raises(ValueError, match="need an integer n >= 3"):
+            call()
+
+
 def test_results_jsonl_roundtrip(tmp_path):
     path = str(tmp_path / "runs.jsonl")
     assert load_results(path) == []
