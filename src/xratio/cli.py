@@ -67,17 +67,18 @@ def resolve_input(path: str) -> str:
     raise CliError(EXIT_PARSE, f"cannot find input file {path!r}")
 
 
-def load_input(path: str):
-    """Problem or triangulation, detected by its JSON keys."""
+def load_input(path: str) -> CrossRatioProblem:
+    """The problem of a problem or triangulation file, told apart by its
+    JSON keys."""
     real = resolve_input(path)
     try:
-        with open(real) as fh:
+        with open(real, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path!r}: {exc}")
     try:
         if isinstance(obj, dict) and "diagonals" in obj:
-            return Triangulation.from_json(obj)
+            return triangulation_to_problem(Triangulation.from_json(obj))
         if isinstance(obj, dict) and "quads" in obj:
             return CrossRatioProblem.from_json(obj)
     except (KeyError, TypeError) as exc:
@@ -96,11 +97,7 @@ def emit(report: dict, fmt: str, table_lines=None):
 
 
 def cmd_degree(ns) -> int:
-    data = load_input(ns.file)
-    if isinstance(data, Triangulation):
-        problem = triangulation_to_problem(data)
-    else:
-        problem = data
+    problem = load_input(ns.file)
     engine = Engine(cache_cap=ns.cache_cap)
     d = engine.degree(problem)
     report = {
@@ -177,8 +174,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_oracle(ns) -> int:
-    data = load_input(ns.file)
-    problem = triangulation_to_problem(data) if isinstance(data, Triangulation) else data
+    problem = load_input(ns.file)
     try:
         fc = numeric_degree(problem, seed=ns.seed, path_cap=ns.paths)
     except PathBudgetError as exc:

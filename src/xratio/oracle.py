@@ -24,7 +24,7 @@ trick) starts from the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
 with random a_ji, which has the same support and one root per perfect
 matching.  It tracks exactly the bound, and where the bound is tight
 every path ends on a fiber point.  For generic targets every fiber point
-is a nondegenerate solution, so filtering the endpoints against the
+is a nondegenerate solution, so judging each endpoint once against the
 non-configurations (coordinate collisions, values 0/1, infinity) and the
 true cross-ratio values counts the fiber.  The count is repeated for
 independent target draws and cross-checked; the paths of all draws of
@@ -294,7 +294,16 @@ def build_system(problem: CrossRatioProblem, targets,
 
 @dataclass(frozen=True)
 class PathResult:
-    """Endpoint of one homotopy path."""
+    """Endpoint of one homotopy path and its final verdict.
+
+    converged: the path arrived, its polished residual is below 1e-10 *
+    max(1, |z|^2), z is 1e-8 away from every non-configuration and its
+    cross-ratios are within 1e-8 of the targets, so z is a point of the
+    system's target fiber.  diverged: the path escaped, stalled within 1e-4
+    of a non-configuration or beyond 1e3 in a coordinate, or solves the
+    cleared equations with a vanishing denominator.  failed: neither.
+    residual is NaN for a path that did not arrive.
+    """
 
     status: str          # converged | diverged | failed
     z: tuple
@@ -398,7 +407,8 @@ def _track(K, R, coef, A, M, gamma, z):
 def solve_total_degree(systems, seeds) -> list[PathResult]:
     """Track every start root of every system to its target, the paths of
     all systems stacked in batches; returns one PathResult per path,
-    system by system.
+    system by system, whose status is final: the converged paths of a
+    system are its fiber points, with repeats where paths coincide.
 
     The name is historical: the start system is no longer total-degree.
     For each system, a generator seeded with its seed draws gamma and the
@@ -435,7 +445,8 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
 
 def _track_paths(paths) -> list[PathResult]:
     """Track one stacked batch of (system, a_ji, support, gamma, start
-    point) to the targets and polish the arrivals."""
+    point) to the targets, polish the arrivals and judge every end point
+    by `_verdict`."""
     owners, A, M, gamma, z = zip(*paths)
     K = np.array([s.K for s in owners])
     R = np.array([s.R for s in owners])
@@ -450,15 +461,9 @@ def _track_paths(paths) -> list[PathResult]:
     F, _ = _target_eval(K, R, coef, za)
     residual = np.full(len(z), math.nan)
     residual[arrived] = np.abs(F).max(axis=1, initial=0.0)
-    scale = np.maximum(1.0, np.linalg.norm(end_z, axis=1) ** 2)
-    results = []
-    for p in range(len(z)):
-        if code[p] == _ARRIVED:
-            status = "converged" if residual[p] < 1e-10 * scale[p] else "failed"
-        else:
-            status = "diverged" if code[p] == _DIVERGED else "failed"
-        results.append(PathResult(status, tuple(end_z[p]), float(residual[p]), int(steps[p])))
-    return results
+    return [PathResult(_verdict(owners[p], end_z[p], code[p], residual[p]),
+                       tuple(end_z[p]), float(residual[p]), int(steps[p]))
+            for p in range(len(z))]
 
 
 @dataclass(frozen=True)
@@ -509,49 +514,40 @@ def _near_degenerate(z, tol: float) -> bool:
                    for v, w in combinations(z, 2)))
 
 
-def _trial_count(problem, system, results):
-    targets = system.targets
-    accepted = []
-    diverged = failed = 0
-    for r in results:
-        if r.status == "diverged":
-            diverged += 1
-            continue
-        if r.status == "failed":
-            if _near_degenerate(r.z, 1e-4) or max(abs(v) for v in r.z) > 1e3:
-                diverged += 1  # stalled against a non-configuration
-            else:
-                failed += 1
-            continue
-        if _near_degenerate(r.z, 1e-8):
-            diverged += 1
-            continue
-        z = np.array(r.z)
-        pts = system.chart.points(problem.n, z)
-        ok = all(
-            abs(cross_ratio(*(pts[lab] for lab in t.quad)) - t.value) < 1e-8
-            for t in targets
-        )
-        if ok:
-            accepted.append(z)
-        else:
-            diverged += 1  # cleared equation satisfied with a tiny denominator
+def _verdict(system: CrossRatioSystem, z, code, residual) -> str:
+    """The status of a path the tracker left at z with the given code and,
+    for an arrival, its residual after polishing; see PathResult."""
+    if code == _DIVERGED:
+        return "diverged"
+    scale = max(1.0, float(np.linalg.norm(z)) ** 2)
+    if not (code == _ARRIVED and residual < 1e-10 * scale):
+        if _near_degenerate(z, 1e-4) or max(abs(v) for v in z) > 1e3:
+            return "diverged"  # stalled against a non-configuration
+        return "failed"
+    if _near_degenerate(z, 1e-8):
+        return "diverged"
+    pts = system.chart.points(system.nv + 3, z)
+    if all(abs(cross_ratio(*(pts[lab] for lab in t.quad)) - t.value) < 1e-8
+           for t in system.targets):
+        return "converged"
+    return "diverged"  # cleared equation satisfied with a tiny denominator
 
-    # dedup: identical endpoints would mean a non-reduced fiber
+
+def _distinct(points):
+    """The number of distinct points, whether two coincide (within 1e-6
+    relative: a non-reduced fiber), and the least distance between the
+    distinct ones."""
     reps: list[np.ndarray] = []
     multiple = False
-    for z in accepted:
-        for w in reps:
-            if np.linalg.norm(z - w) < 1e-6 * max(1.0, np.linalg.norm(z)):
-                multiple = True
-                break
-        else:
-            reps.append(z)
     min_sep = math.inf
-    for i, z in enumerate(reps):
-        for w in reps[i + 1:]:
-            min_sep = min(min_sep, float(np.linalg.norm(z - w)))
-    return len(reps), len(results), len(accepted), diverged, failed, min_sep, multiple
+    for z in points:
+        dists = [float(np.linalg.norm(z - w)) for w in reps]
+        if any(d < 1e-6 * max(1.0, np.linalg.norm(z)) for d in dists):
+            multiple = True
+        else:
+            min_sep = min([min_sep, *dists])
+            reps.append(z)
+    return len(reps), multiple, min_sep
 
 
 def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
@@ -559,12 +555,14 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     """Count a generic fiber numerically; majority over TRIALS independent
     target draws, all tracked in the chart of `matching_bound`.
 
-    The run is flagged inconclusive when the trials disagree, when an
-    unexplained path failure rate exceeds 5 percent, or when endpoints
-    collide (a non-reduced fiber).  Raises PathBudgetError if the
-    matching bound or search exceeds its budget, and ValueError when the
-    system has more than unknown_limit unknowns (None: no limit) or the
-    path cap is negative.
+    A trial counts the distinct converged endpoints of its paths, and the
+    path counts tally the statuses `solve_total_degree` returns.  The run
+    is flagged inconclusive when the trials disagree, when over 5 percent
+    of a trial's paths failed, or when converged endpoints coincide (a
+    non-reduced fiber).  Raises PathBudgetError if the matching bound or
+    search exceeds its budget, and ValueError when the system has more
+    than unknown_limit unknowns (None: no limit) or the path cap is
+    negative.
     """
     nv = problem.n - 3
     if unknown_limit is not None and nv > unknown_limit:
@@ -584,24 +582,21 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     # bound 0: every chart is dead, so there is no start root to track
     results = solve_total_degree(systems, seeds) if bound else []
 
+    statuses = [r.status for r in results]
     counts = []
-    tracked = conv = div = fail = 0
     min_sep = math.inf
     reasons = []
-    for t, system in enumerate(systems):
-        c, n_tracked, n_acc, n_div, n_fail, sep, multiple = _trial_count(
-            problem, system, results[t * bound:(t + 1) * bound]
-        )
+    for t in range(TRIALS):
+        trial = slice(t * bound, (t + 1) * bound)
+        c, multiple, sep = _distinct(np.array(r.z) for r in results[trial]
+                                     if r.status == "converged")
         counts.append(c)
-        tracked += n_tracked
-        conv += n_acc
-        div += n_div
-        fail += n_fail
         min_sep = min(min_sep, sep)
         if multiple:
             reasons.append(f"trial {t}: coincident endpoints")
-        if n_tracked and n_fail / n_tracked > 0.05:
-            reasons.append(f"trial {t}: {n_fail}/{n_tracked} unexplained path failures")
+        fail = statuses[trial].count("failed")
+        if bound and fail / bound > 0.05:
+            reasons.append(f"trial {t}: {fail}/{bound} unexplained path failures")
 
     if len(set(counts)) > 1:
         reasons.append(f"trials disagree: {counts}")
@@ -611,10 +606,10 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     return FiberCount(
         count=count,
         trial_counts=tuple(counts),
-        paths_tracked=tracked,
-        paths_converged=conv,
-        paths_diverged=div,
-        paths_failed=fail,
+        paths_tracked=len(statuses),
+        paths_converged=statuses.count("converged"),
+        paths_diverged=statuses.count("diverged"),
+        paths_failed=statuses.count("failed"),
         min_separation=min_sep,
         inconclusive=bool(reasons),
         bound=bound,

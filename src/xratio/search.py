@@ -77,6 +77,10 @@ def bound_report(n: int) -> BoundReport:
                        n <= EXHAUSTIVE_CERTIFIED)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_args(n: int, mode: str, budget: int = 1) -> None:
     """ValueError on the arguments exhaustive_cn (mode "exhaustive") or
     heuristic_cn refuses."""
@@ -87,8 +91,8 @@ def _check_args(n: int, mode: str, budget: int = 1) -> None:
     else:
         if n < 6:
             raise ValueError("heuristic search needs n >= 6; below that use exhaustive_cn")
-        if budget < 1:
-            raise ValueError("budget must be positive")
+        if not _is_int(budget) or budget < 1:
+            raise ValueError(f"budget must be a positive integer, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,11 @@ class SearchResult:
     def from_json(cls, obj: dict) -> "SearchResult":
         """Inverse of to_json.  Fields are checked, never coerced: a
         record with a field of the wrong type or value is a ValueError."""
-        def is_int(x):
-            return isinstance(x, int) and not isinstance(x, bool)
-
-        bad = [key for key in ("n", "best_degree", "evaluations") if not is_int(obj[key])]
+        bad = [key for key in ("n", "best_degree", "evaluations") if not _is_int(obj[key])]
         bad += [key for key in ("seed", "budget")
-                if not (obj.get(key) is None or is_int(obj[key]))]
+                if not (obj.get(key) is None or _is_int(obj[key]))]
+        if not (_is_int(obj["elapsed"]) or isinstance(obj["elapsed"], float)):
+            bad.append("elapsed")
         if not isinstance(obj["certified"], bool):
             bad.append("certified")
         if obj["mode"] not in ("exhaustive", "heuristic"):
@@ -228,6 +231,8 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
     moves.  The budget counts engine evaluations.
     """
     _check_args(n, "heuristic", budget)
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     eng = engine or Engine()
     t0 = time.perf_counter()

@@ -289,6 +289,13 @@ def test_malformed_json_exit(capsys, tmp_path):
     path2.write_text(json.dumps({"points": [1, 2]}))
     code, _ = run(capsys, "degree", str(path2))
     assert code == 2
+    # bytes that are not UTF-8 are unreadable input for both commands
+    path3 = tmp_path / "utf16.json"
+    path3.write_bytes(b"\xff\xfe" + json.dumps(
+        {"n": 6, "quads": [[1, 2, 3, 6], [2, 3, 4, 5], [1, 4, 5, 6]]}).encode())
+    for command in ("degree", "oracle"):
+        code, _ = run(capsys, command, str(path3))
+        assert code == 2, command
 
 
 def test_invalid_problem_exit(capsys, tmp_path):

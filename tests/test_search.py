@@ -21,7 +21,7 @@ from xratio import (
     normalize,
     numeric_degree,
 )
-from xratio import search
+from xratio import oracle, search
 from xratio.oracle import TRIALS
 from xratio.search import (
     EXHAUSTIVE_CERTIFIED,
@@ -106,9 +106,18 @@ def test_record_witness_tree_counts():
             check_tree_structure(t, p)
 
 
-def test_record_witnesses_numeric():
+def test_record_witnesses_numeric(monkeypatch):
     # a second method for the records; bound > degree, so in every trial
-    # the endpoint filter must set aside exactly bound - degree paths
+    # exactly bound - degree paths must be judged diverged, and the path
+    # counts are a tally of the statuses the tracker returned
+    calls = []
+    solve = oracle.solve_total_degree
+
+    def spy(systems, seeds):
+        calls.append(solve(systems, seeds))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "solve_total_degree", spy)
     for n, bound in {11: 16, 12: 24, 13: 36}.items():
         p = CrossRatioProblem(n, tuple(frozenset(q) for q in RECORD_WITNESSES[n]))
         fc = numeric_degree(p, unknown_limit=10)
@@ -116,6 +125,11 @@ def test_record_witnesses_numeric():
         assert fc.count == RECORDS[n], n
         assert fc.bound == bound and fc.paths_tracked == TRIALS * bound, n
         assert fc.paths_diverged == TRIALS * (bound - RECORDS[n]), n
+        statuses = [r.status for r in calls.pop()]
+        assert (statuses.count("converged"), statuses.count("diverged"),
+                statuses.count("failed"), len(statuses)) \
+            == (fc.paths_converged, fc.paths_diverged, fc.paths_failed,
+                fc.paths_tracked), n
 
 
 def test_exhaustive_small():
@@ -210,6 +224,11 @@ def test_non_integer_n_rejected():
                  lambda: bound_report(True)):
         with pytest.raises(ValueError, match="need an integer n >= 3"):
             call()
+    # so is a budget or seed the results file would refuse to load
+    for key, value in (("budget", 20.5), ("budget", True), ("seed", 1.5),
+                       ("seed", False), ("seed", None)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            heuristic_cn(7, **{"budget": 20, "seed": 1, key: value})
 
 
 def test_results_jsonl_roundtrip(tmp_path):
@@ -289,7 +308,7 @@ def test_results_file_corrupt_middle_line(tmp_path):
     for key, value in (("n", 6.9), ("n", True), ("best_degree", "7"),
                        ("evaluations", 2.0), ("certified", "false"),
                        ("certified", 1), ("seed", 1.5), ("budget", True),
-                       ("mode", "random")):
+                       ("elapsed", "1.5"), ("elapsed", True), ("mode", "random")):
         path.write_text(whole + json.dumps({**good, key: value}) + "\n")
         with pytest.raises(ResultsFileError, match=f"line 2: bad record: .*{key}="):
             load_results(str(path))
