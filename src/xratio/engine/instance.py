@@ -17,6 +17,11 @@ from dataclasses import dataclass
 __all__ = ["CrossRatioProblem", "side_form"]
 
 
+def _is_int(x) -> bool:
+    """Is x an int that is not a bool?  The package's one integer check."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CrossRatioProblem:
     """A configuration on the standard label set 1..n."""
@@ -25,7 +30,7 @@ class CrossRatioProblem:
     quads: tuple[frozenset, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
+        if not _is_int(self.n) or self.n < 3:
             raise ValueError(f"need an integer n >= 3, got {self.n!r}")
         quads = tuple(
             sorted((frozenset(q) for q in self.quads), key=lambda q: sorted(q))
@@ -35,8 +40,7 @@ class CrossRatioProblem:
         for q in quads:
             if len(q) != 4:
                 raise ValueError(f"quad {sorted(q)} does not have 4 labels")
-            if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= self.n
-                       for x in q):
+            if not all(_is_int(x) and 1 <= x <= self.n for x in q):
                 raise ValueError(f"quad {sorted(q)} out of range 1..{self.n}")
         object.__setattr__(self, "quads", quads)
 

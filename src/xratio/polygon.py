@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import CrossRatioProblem
+from .engine.instance import _is_int
 
 __all__ = [
     "Diagonal",
@@ -42,7 +43,7 @@ ENUMERATION_CAP = 12  # largest n enumerate_triangulations (and verify) covers
 
 
 def _check_n(n, least: int = 3) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+    if not _is_int(n) or n < least:
         raise ValueError(f"need an integer n >= {least}, got {n!r}")
 
 
@@ -53,8 +54,7 @@ def _norm_diagonal(n: int, d) -> Diagonal:
     u, v = ends
     if u == v:
         raise ValueError(f"degenerate diagonal {d!r}")
-    if not (all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v))
-            and 1 <= u < v <= n):
+    if not (_is_int(u) and _is_int(v) and 1 <= u < v <= n):
         raise ValueError(f"diagonal {d!r} out of range for n={n}")
     if v - u == 1 or (u == 1 and v == n):
         raise ValueError(f"{d!r} is a polygon side, not a diagonal")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import CrossRatioProblem, Engine, canonical_key, normalize
+from .engine.instance import _is_int
 from .engine.surplus import find_violation
 from .polygon import (
     _check_n,
@@ -75,10 +76,6 @@ def bound_report(n: int) -> BoundReport:
         upper = 2 ** (n - 5)
     return BoundReport(n, lower, upper, RECORDS.get(n),
                        n <= EXHAUSTIVE_CERTIFIED)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_args(n: int, mode: str, budget: int = 1) -> None:

@@ -22,11 +22,21 @@ from xratio import (
     inscribed_polygon_triangulation,
     matching_bound,
     numeric_degree,
+    oracle,
     random_triangulation,
     solve_total_degree,
     triangulation_to_problem,
 )
-from xratio.oracle import TRIALS, Chart, _near_degenerate, _solve, _start_eval, _target_eval
+from xratio.cli import load_input
+from xratio.oracle import (
+    TRIALS,
+    Chart,
+    _near_degenerate,
+    _predict,
+    _solve,
+    _start_eval,
+    _target_eval,
+)
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
 
@@ -353,6 +363,40 @@ def test_batched_solve_isolates_singular_systems():
     x, good = _solve(H, b)
     assert good.tolist() == [True, False, True]
     assert np.allclose(x[0], 1) and np.allclose(x[2], 0.5)
+
+
+def test_predictor_is_fourth_order():
+    # H = z^2 - (1 + 3t), tracked along the root z = sqrt(1 + 3t): the
+    # one-step error of an order-p predictor shrinks 2^(p+1)-fold when dt
+    # halves, about 32x for RK4 and 4x for Euler
+    def slope(t, z):
+        return _solve(2 * z[:, :, None], np.full_like(z, 3))
+
+    t = np.array([0.2])
+    z = np.sqrt(1 + 3 * t)[:, None].astype(complex)
+    err = []
+    for dt in (0.1, 0.05):
+        z1, ok = _predict(slope, t, z, np.array([dt]))
+        assert ok.all()
+        err.append(abs(z1[0, 0] - np.sqrt(1 + 3 * (t[0] + dt))))
+    assert err[1] > 0 and err[0] / err[1] >= 16, err
+
+
+def test_13gon_step_ceiling(monkeypatch):
+    # 24 paths over three trials; the tracker's cost is its step count
+    calls = []
+    solve = oracle.solve_total_degree
+
+    def spy(systems, seeds):
+        calls.append(solve(systems, seeds))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "solve_total_degree", spy)
+    fc = numeric_degree(load_input("triangulated_13gon.json"))
+    assert fc.count == 8 and not fc.inconclusive
+    (results,) = calls
+    assert len(results) == 24
+    assert sum(r.steps for r in results) <= 1500
 
 
 def test_near_degenerate_ignores_order():

@@ -79,6 +79,12 @@ RECORD_WITNESSES = {
          [8, 11, 12, 13], [10, 11, 13, 14]],
 }
 
+# found by heuristic_cn(15, budget=300, seed=1729): degree 74, a lower
+# bound for n=15 but not yet a record
+WITNESS_15 = [[1, 2, 3, 4], [1, 2, 5, 12], [2, 3, 8, 15], [3, 4, 9, 13],
+              [4, 11, 13, 15], [5, 6, 7, 12], [5, 12, 14, 15], [6, 7, 10, 14],
+              [6, 7, 11, 13], [8, 9, 10, 14], [8, 9, 12, 15], [10, 11, 13, 14]]
+
 
 def test_records_have_certified_witnesses():
     bare = Engine(shortcuts=False)
@@ -130,6 +136,17 @@ def test_record_witnesses_numeric(monkeypatch):
                 statuses.count("failed"), len(statuses)) \
             == (fc.paths_converged, fc.paths_diverged, fc.paths_failed,
                 fc.paths_tracked), n
+
+
+def test_n15_witness_two_methods():
+    # the engine, with and without shortcuts, and the numeric count agree
+    p = CrossRatioProblem(15, tuple(frozenset(q) for q in WITNESS_15))
+    assert Engine().degree(p) == 74
+    assert Engine(shortcuts=False).degree(p) == 74
+    assert matching_bound(p)[0] == 86
+    fc = numeric_degree(p)
+    assert not fc.inconclusive, fc.reasons
+    assert fc.count == 74
 
 
 def test_exhaustive_small():
