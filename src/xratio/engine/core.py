@@ -19,14 +19,17 @@ indices, label mask); the degree is then factor times the product of
 the side degrees, and factor 0 marks a side that mismatches its budget.
 Leaf stripping: a label in exactly one quad (a leaf) is cut off by the
 quad's other three labels, a side of degree 1, so `_strip_leaves` drops
-every leaf with its quad, repeatedly, and the triple scan and canonical
-key run only on leafless configurations (a quad with two leaves leaves
-its second leaf in no quad, a remainder of degree 0).  Three-cut: three
-labels C that separate the quads into groups on C|X and C|Y.  Double
-cut: three quads pairwise sharing two labels and covering six, factor 2.
-A cache miss uses the first that fires, in that order, then the bare
-recursion; `Engine(shortcuts=False)`, the bare recursion alone, is the
-reference the tests check every identity against.
+every leaf with its quad, repeatedly, and the other finders and the
+canonical key run only on leafless configurations (a quad with two
+leaves leaves its second leaf in no quad, a remainder of degree 0).
+Double cut: three quads pairwise sharing two labels and covering six,
+factor 2; an internal triangle of a triangulation is one.  Three-cut:
+three labels C that separate the quads into groups on C|X and C|Y; its
+C(m,3) triple scan runs last, so only configurations with no leaf and
+no double cut (chains of glued blocks) pay for it.  A cache miss uses
+the first that fires, in that order, then the bare recursion;
+`Engine(shortcuts=False)`, the bare recursion alone, is the reference
+the tests check every identity against.
 
 The recursion runs on `inst.compact()`; every side configuration, of a
 split or of a shortcut, is built by `side_form`.
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_key
-from .instance import CrossRatioProblem, bits_of, side_form
+from .instance import CrossRatioProblem, _is_int, bits_of, side_form
 
 __all__ = [
     "Engine",
@@ -156,32 +159,27 @@ def _find_three_cut(m, masks):
     """First 3-set of labels whose removal disconnects the quad supports.
 
     Returns (factor, ((x_idx, C|X), (y_idx, C|Y))) or None.  X is the
-    component of the smallest remaining label; the factor is 1, or 0 when
+    component of the smallest remaining label, flood-filled over near[b],
+    the labels sharing a quad with label b; the factor is 1, or 0 when
     the quad counts mismatch the side label budgets.
     """
     full = (1 << m) - 1
+    near = [0] * m
+    for q in masks:
+        for b in bits_of(q):
+            near[b] |= q
     for cbits in combinations(range(m), 3):
         c_mask = (1 << cbits[0]) | (1 << cbits[1]) | (1 << cbits[2])
         rem = full & ~c_mask
-        groups: list[int] = []
-        for q in masks:
-            merged = q & rem
-            keep = []
-            for g in groups:
-                if g & merged:
-                    merged |= g
-                else:
-                    keep.append(g)
-            keep.append(merged)
-            groups = keep
-        covered = 0
-        for g in groups:
-            covered |= g
-        for b in bits_of(rem & ~covered):
-            groups.append(1 << b)  # labels in no quad: vanishing input
-        if len(groups) < 2:
+        x_mask = todo = rem & -rem
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = near[low.bit_length() - 1] & rem & ~x_mask
+            x_mask |= new
+            todo |= new
+        if x_mask == rem:
             continue
-        x_mask = min(groups, key=lambda g: g & -g)
         y_mask = rem & ~x_mask
         x_idx = tuple(j for j, q in enumerate(masks) if q & rem & ~x_mask == 0)
         y_idx = tuple(j for j, q in enumerate(masks) if q & rem & x_mask == 0)
@@ -255,19 +253,19 @@ class Engine:
     """Degree computations with a relabeling-aware memo cache.
 
     A cache miss uses the first shortcut that fires (leaf stripping, the
-    three-cut, the double cut), else the bare recursion, split at the
+    double cut, the three-cut), else the bare recursion, split at the
     first quad with its first pairing (the value does not depend on that
     choice).  With shortcuts=False every miss runs the bare recursion.
-    cache_cap bounds the cache entries (0: no caching); a negative cap is
-    a ValueError.
+    cache_cap bounds the cache entries (None: no bound, 0: no caching);
+    any value but None or an int >= 0 is a ValueError.
     """
 
     def __init__(self, shortcuts: bool = True, cache_cap: int | None = None):
-        if cache_cap is not None and cache_cap < 0:
-            raise ValueError(f"negative cache cap {cache_cap}")
+        if cache_cap is not None and not (_is_int(cache_cap) and cache_cap >= 0):
+            raise ValueError(f"need None or a non-negative cache cap, got cache_cap={cache_cap!r}")
         # read at construction, so a finder patched on the module is seen
         self._shortcuts = (
-            (_strip_leaves, _find_three_cut, _find_double_cut) if shortcuts else ()
+            (_strip_leaves, _find_double_cut, _find_three_cut) if shortcuts else ()
         )
         self.cache_cap = cache_cap
         self._cache: dict = {}

@@ -43,6 +43,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .engine import CrossRatioProblem
+from .engine.instance import _is_int
 from .engine.surplus import hall_failure, quad_charts
 
 __all__ = [
@@ -70,6 +71,14 @@ BATCH_BYTES = 1 << 26  # per-path arrays of the paths tracked at once
 class PathBudgetError(RuntimeError):
     """Raised when a matching bound exceeds the path cap or a matching
     search its MATCHING_STEPS steps."""
+
+
+def _check_count(name, value, optional=False):
+    """ValueError naming the argument unless value is an int >= 0 (or
+    None, when optional)."""
+    if not (optional and value is None or _is_int(value) and value >= 0):
+        none = "None or " if optional else ""
+        raise ValueError(f"{name} must be {none}an integer >= 0, got {value!r}")
 
 
 def cross_ratio(pa, pb, pc, pd) -> complex:
@@ -161,11 +170,10 @@ def matching_bound(problem: CrossRatioProblem,
     count takes at most MATCHING_STEPS search steps, else
     PathBudgetError.  Of the pinned labels, the one in the most quads (on
     a tie, the smaller) goes to infinity, which makes its quads' equations
-    linear, and the other two go to 0 and 1 in ascending order.  A
-    negative cap is a ValueError.
+    linear, and the other two go to 0 and 1 in ascending order.  A cap
+    that is neither None nor an int >= 0 is a ValueError.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"negative cap {cap}")
+    _check_count("cap", cap, optional=True)
     n, masks = problem.compact()
     charts = quad_charts(masks)
     bound = 0
@@ -579,9 +587,12 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     of a trial's paths failed, or when converged endpoints coincide (a
     non-reduced fiber).  Raises PathBudgetError if the matching bound or
     search exceeds its budget, and ValueError when the system has more
-    than unknown_limit unknowns (None: no limit) or the path cap is
-    negative.
+    than unknown_limit unknowns (None: no limit) or when seed, path_cap
+    or a non-None unknown_limit is not an int >= 0.
     """
+    _check_count("seed", seed)
+    _check_count("unknown_limit", unknown_limit, optional=True)
+    _check_count("path_cap", path_cap)
     nv = problem.n - 3
     if unknown_limit is not None and nv > unknown_limit:
         raise ValueError(f"{nv} unknowns exceed the limit {unknown_limit}")

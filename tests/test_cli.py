@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from oracles import random_problem
@@ -26,14 +30,25 @@ def test_degree_bundled_fixtures(capsys):
     assert rep["n"] == 13
     assert rep["degree"] == 8
     assert rep["method"] == "recursion"
-    # engine counters: 4 cached computations, 1 cache hit, no uncached node
-    assert (rep["nodes"], rep["cache_hits"], rep["cache_misses"]) == (5, 1, 4)
+    # engine counters: 5 cached computations, no cache hit, no uncached node
+    assert (rep["nodes"], rep["cache_hits"], rep["cache_misses"]) == (5, 0, 5)
 
     code, rep = run_json(capsys, "degree", "snowflake.json")
     assert (code, rep["degree"]) == (0, 2)
 
     code, rep = run_json(capsys, "degree", "surplus_violating.json")
     assert (code, rep["degree"]) == (0, 0)
+
+
+def test_python_m_xratio(tmp_path):
+    # the package runs as a module from a source checkout, not only as the
+    # installed console script
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("XRATIO_FIXTURES", None)
+    proc = subprocess.run([sys.executable, "-m", "xratio", "degree", "snowflake.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["degree"] == 2
 
 
 def test_degree_local_file(capsys, tmp_path):
@@ -120,6 +135,9 @@ def test_oracle_path_budget(capsys):
     # a negative cap is an invalid value, not an inconclusive count
     code, _ = run(capsys, "oracle", "snowflake.json", "--paths", "-1")
     assert code == 3
+    # so is a negative seed, named as the seed
+    assert main(["--seed", "-1", "oracle", "snowflake.json"]) == 3
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_oracle_13gon_within_path_budget(capsys):

@@ -498,8 +498,6 @@ def test_leaf_stripping_matches_bare_engine():
 
 
 def test_three_cut_scan_sees_no_leaves(monkeypatch):
-    # the benchmark's large cold inputs: every one-quad label is stripped
-    # before the C(m,3) triple scan runs
     scanned = []
     scan = core._find_three_cut
 
@@ -508,11 +506,19 @@ def test_three_cut_scan_sees_no_leaves(monkeypatch):
         return scan(m, masks)
 
     monkeypatch.setattr(core, "_find_three_cut", spy)
+    # the benchmark's large cold inputs: every leafless miss has an internal
+    # triangle, a double cut, so the C(m,3) triple scan never runs
     rng = random.Random(1729)
     tris = [inscribed_polygon_triangulation(n) for n in range(16, 25)]
     tris += [random_triangulation(n, rng.randrange(2**32)) for n in range(20, 41)]
     for t in tris:
         assert Engine().degree(triangulation_to_problem(t)) == closed_formula_degree(t)
+    assert scanned == []
+    # where it still runs (glued blocks, random inputs), every one-quad
+    # label is stripped before it
+    assert Engine().degree(chain_problem(6)) == 64
+    for n in range(12, 21):
+        Engine().degree(random_problem(n, rng))
     assert scanned and not any(scanned)
 
 
@@ -671,6 +677,9 @@ def test_cache_cap_zero_still_correct():
 def test_cache_cap_negative_rejected():
     with pytest.raises(ValueError, match="negative cache cap"):
         Engine(cache_cap=-1)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=f"cache_cap={bad!r}$"):
+            Engine(cache_cap=bad)
 
 
 def test_default_engine_shared():

@@ -230,6 +230,9 @@ def test_unknown_limit_enforced():
     p = triangulation_to_problem(inscribed_polygon_triangulation(10))
     with pytest.raises(ValueError):
         numeric_degree(p, unknown_limit=6)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^unknown_limit must .* got {bad!r}$"):
+            numeric_degree(SNOWFLAKE, unknown_limit=bad)
 
 
 def test_path_budget_error():
@@ -302,6 +305,14 @@ def test_matching_bound_matches_brute_reference():
         matching_bound(p, cap=-1)
     with pytest.raises(ValueError):
         numeric_degree(p, path_cap=-1)
+    # integer arguments are checked, not coerced: True is not 1
+    for cap in (1.5, True):
+        with pytest.raises(ValueError, match=f"^cap must .* got {cap!r}$"):
+            matching_bound(p, cap=cap)
+    for name, bad in (("path_cap", 2.5), ("path_cap", True),
+                      ("seed", 1.5), ("seed", True), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must .* got {bad!r}$"):
+            numeric_degree(SNOWFLAKE, **{name: bad})
 
 
 def test_matching_bound_inscribed_within_steps():
