@@ -19,9 +19,10 @@ indices, label mask); the degree is then factor times the product of
 the side degrees, and factor 0 marks a side that mismatches its budget.
 Leaf stripping: a label in exactly one quad (a leaf) is cut off by the
 quad's other three labels, a side of degree 1, so `_strip_leaves` drops
-every leaf with its quad, repeatedly, and the other finders and the
-canonical key run only on leafless configurations (a quad with two
-leaves leaves its second leaf in no quad, a remainder of degree 0).
+every leaf with its quad, repeatedly, and the other finders run only
+on leafless configurations (a quad with two leaves leaves its second
+leaf in no quad, a remainder of degree 0).  The canonical key comes
+before every shortcut, so it is taken on leafy configurations too.
 Double cut: three quads pairwise sharing two labels and covering six,
 factor 2; an internal triangle of a triangulation is one.  Three-cut:
 three labels C that separate the quads into groups on C|X and C|Y; its
@@ -283,6 +284,7 @@ class Engine:
         self.nodes += 1
         if m < 6:
             return self._compute(m, masks)
+        # key first: keying leaf-stripped cores measured slower (they need more individualization)
         key = canonical_key(m, masks)
         hit = self._cache.get(key)
         if hit is not None:

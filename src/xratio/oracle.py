@@ -24,13 +24,15 @@ trick) starts from the linear product G_j(z) = prod_{i in S_j} (z_i - a_ji)
 with random a_ji, which has the same support and one root per perfect
 matching.  It tracks exactly the bound, and where the bound is tight
 every path ends on a fiber point.  Each tracker step is a classical RK4
-predictor on dz/dt = -H_z^-1 H_t and a few Newton corrections.  For
-generic targets every fiber point is a nondegenerate solution, so
-judging each endpoint once against the non-configurations (coordinate
-collisions, values 0/1, infinity) and the true cross-ratio values counts
-the fiber.  The count is repeated for independent target draws and
-cross-checked; the paths of all draws of one call are tracked together,
-in stacked batches of at most BATCH_BYTES.
+predictor on dz/dt = -H_z^-1 H_t and a few Newton corrections; a path
+stops when it arrives at t = 1, escapes past |z| = 1e8, stalls or runs
+out of steps.  For generic targets every fiber point is a nondegenerate
+solution, so judging the endpoints once, in one array pass over the
+equation factors, against the non-configurations (coordinate collisions,
+values 0/1, infinity) and the target cross-ratios counts the fiber.
+The count is repeated for independent target draws and cross-checked;
+the paths of all draws of one call are tracked together, in stacked
+batches of at most BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import islice
 
 import numpy as np
 
@@ -199,6 +201,12 @@ def matching_bound(problem: CrossRatioProblem,
 _PARTNER = np.array([1, 0, 3, 2])  # the other factor of each factor's product
 
 
+def _factors(K, R, z):
+    """Factors f_jf = K[jf] + R[jf] @ z of stacked systems (see _target_eval)."""
+    P, k, _, nv = R.shape
+    return K + (R.reshape(P, 4 * k, nv) @ z[..., None]).reshape(P, k, 4)
+
+
 def _target_eval(K, R, coef, z):
     """F_j = f_j0 f_j1 - lam_j f_j2 f_j3 and its Jacobian by the product
     rule, for stacked systems: factor f_jf = K[jf] + R[jf] @ z and
@@ -206,7 +214,7 @@ def _target_eval(K, R, coef, z):
     coef (P,k,4), z (P,k).  The (P*k) small products are flattened into
     one batch each, which keeps the few-path calls cheap."""
     P, k, _, nv = R.shape
-    f = K + (R.reshape(P, 4 * k, nv) @ z[..., None]).reshape(P, k, 4)
+    f = _factors(K, R, z)
     w = f[..., _PARTNER] * coef  # dF_j / df_jf
     fw = f * w
     jac = (w.reshape(P * k, 1, 4) @ R.reshape(P * k, 4, nv)).reshape(P, k, nv)
@@ -309,9 +317,9 @@ class PathResult:
     converged: the path arrived, its polished residual is below 1e-10 *
     max(1, |z|^2), z is 1e-8 away from every non-configuration and its
     cross-ratios are within 1e-8 of the targets, so z is a point of the
-    system's target fiber.  diverged: the path escaped, stalled within 1e-4
-    of a non-configuration or beyond 1e3 in a coordinate, or solves the
-    cleared equations with a vanishing denominator.  failed: neither.
+    system's target fiber.  diverged: the path solves the cleared
+    equations with a vanishing denominator, or else it stopped within 1e-4
+    of a non-configuration or beyond 1e3 in norm.  failed: neither.
     residual is NaN for a path that did not arrive.
     """
 
@@ -359,22 +367,19 @@ def _predict(slope, t, z, dt):
     return z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), ok1 & ok2 & ok3 & ok4
 
 
-# codes of a path in the stacked tracker
-_TRACKING, _ARRIVED, _DIVERGED, _FAILED = range(4)
-
-
 def _track(K, R, coef, A, M, gamma, z):
     """Track every row of z along (1-t)*gamma*G + t*F from t=0 to 1.
 
     RK4 predictor on dz/dt = -H_z^-1 H_t (four batched solves per step),
     few-step Newton corrector, step halving on corrector failure; each
-    path keeps its own t, step size, success streak and step count, and
-    leaves the working set when it arrives, diverges or fails.  Returns
-    the end points, the codes and the step counts.
+    path keeps its own t, step size, success streak and step count.  It
+    stops on arrival (corrected at t = 1, |z| <= 1e8), escape (corrected,
+    |z| > 1e8), stall (step below 1e-9 after a failed correction) or past
+    MAX_STEPS steps.  Returns the end points, arrival mask and step counts.
     """
     P = len(z)
     end_z = z.copy()
-    code = np.full(P, _TRACKING)
+    arrived = np.zeros(P, dtype=bool)
     steps_at_end = np.zeros(P, dtype=int)
     ids = np.arange(P)
     t = np.zeros(P)
@@ -397,12 +402,12 @@ def _track(K, R, coef, A, M, gamma, z):
 
     while len(ids):
         steps += 1
-        verdict = np.where(steps > MAX_STEPS, _FAILED, _TRACKING)
+        over = steps > MAX_STEPS
         dt = np.minimum(dt, 1.0 - t)
         t1 = t + dt
         z1, live = _predict(lambda tt, zz: homotopy(tt, zz, True), t, z, dt)
         ok = _newton(lambda zz: homotopy(t1, zz), z1,
-                     live & (verdict == _TRACKING), 3, 1e-9)
+                     live & ~over, 3, 1e-9)
 
         z = np.where(ok[:, None], z1, z)
         t = np.where(ok, t1, t)
@@ -411,23 +416,16 @@ def _track(K, R, coef, A, M, gamma, z):
         dt = np.where(grow, np.minimum(dt * 2, 0.1), np.where(ok, dt, dt / 2))
         streak[grow] = 0
         big = np.linalg.norm(z, axis=1)
-        tracking = verdict == _TRACKING
-        # a stall with large coordinates is an escape to the boundary (a
-        # cluster leaving the chart), not path loss
-        stalled = tracking & ~ok & (dt < 1e-9)
-        verdict[stalled] = np.where(big[stalled] > 1e3, _DIVERGED, _FAILED)
-        verdict[tracking & ok & (big > 1e8)] = _DIVERGED
-        verdict[tracking & ok & (big <= 1e8) & (t >= 1.0)] = _ARRIVED
-
-        out = verdict != _TRACKING
+        arrive = ok & (big <= 1e8) & (t >= 1.0)
+        out = arrive | over | (~ok & (dt < 1e-9)) | (ok & (big > 1e8))
         if out.any():
             end_z[ids[out]] = z[out]
-            code[ids[out]] = verdict[out]
+            arrived[ids[out]] = arrive[out]
             steps_at_end[ids[out]] = steps[out]
             keep = ~out
             ids, t, dt, streak, steps, z = ids[keep], t[keep], dt[keep], streak[keep], steps[keep], z[keep]
             work = [w[keep] for w in work]
-    return end_z, code, steps_at_end
+    return end_z, arrived, steps_at_end
 
 
 def solve_total_degree(systems, seeds) -> list[PathResult]:
@@ -449,7 +447,7 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
     systems, seeds = list(systems), list(seeds)
     if len(systems) != len(seeds):
         raise ValueError("need one seed per system")
-    paths = []  # (system, a_ji, support, gamma, start point)
+    paths = []  # (K, R, coef, a_ji, support, gamma, start point)
     for system, seed in zip(systems, seeds):
         support = system.support
         rng = np.random.default_rng(seed)
@@ -461,35 +459,48 @@ def solve_total_degree(systems, seeds) -> list[PathResult]:
             cols = list(match)
             z0 = np.zeros(system.nv, dtype=complex)
             z0[cols] = A[range(len(cols)), cols]
-            paths.append((system, A, support, gamma, z0))
+            paths.append((system.K, system.R, system.coef, A, support, gamma, z0))
     if not paths:
         return []
     batch = max(1, BATCH_BYTES // (16 * 20 * max(1, systems[0].nv) ** 2))
-    return [r for lo in range(0, len(paths), batch)
-            for r in _track_paths(paths[lo:lo + batch])]
+    results = []
+    for lo in range(0, len(paths), batch):
+        K, R, coef, A, M, gamma, z = map(np.array, zip(*paths[lo:lo + batch]))
+        end_z, arrived, steps = _track(K, R, coef, A, M, gamma, z)
+        status, residual = _verdict(K, R, coef, end_z, arrived)
+        results += map(PathResult, status.tolist(), map(tuple, end_z),
+                       residual.tolist(), steps.tolist())
+    return results
 
 
-def _track_paths(paths) -> list[PathResult]:
-    """Track one stacked batch of (system, a_ji, support, gamma, start
-    point) to the targets, polish the arrivals and judge every end point
-    by `_verdict`."""
-    owners, A, M, gamma, z = zip(*paths)
-    K = np.array([s.K for s in owners])
-    R = np.array([s.R for s in owners])
-    coef = np.array([s.coef for s in owners])
-    A, M, gamma, z = (np.array(column) for column in (A, M, gamma, z))
-    end_z, code, steps = _track(K, R, coef, A, M, gamma, z)
+def _near_degenerate(z, tol: float):
+    """Which rows of z are within tol of a non-configuration: a coordinate
+    at 0 or 1, or two coordinates colliding, relative to the larger of the two."""
+    a = np.abs(z)
+    close = np.abs(z[:, :, None] - z[:, None, :]) < tol * np.maximum(
+        1.0, np.maximum(a[:, :, None], a[:, None, :]))
+    return ((a < tol) | (np.abs(z - 1) < tol)).any(axis=1) | np.triu(close, 1).any(axis=(1, 2))
 
-    arrived = np.flatnonzero(code == _ARRIVED)
-    K, R, coef, za = K[arrived], R[arrived], coef[arrived], end_z[arrived]
-    _newton(lambda zz: _target_eval(K, R, coef, zz), za, np.ones(len(za), dtype=bool), 12, 1e-13)
-    end_z[arrived] = za
-    F, _ = _target_eval(K, R, coef, za)
+
+def _verdict(K, R, coef, z, arrived):
+    """Polish the arrivals among the end points z of a batch, in place,
+    and return every path's status and residual (see PathResult), read off
+    the factors: f_j0 f_j1 / (f_j2 f_j3) is quad j's cross-ratio."""
+    a = np.flatnonzero(arrived)
+    K, R, coef, za = K[a], R[a], coef[a], z[a]
+    _newton(lambda zz: _target_eval(K, R, coef, zz), za, np.ones(len(a), dtype=bool), 12, 1e-13)
+    z[a] = za
+    f = _factors(K, R, za)
+    num, den, lam = f[..., 0] * f[..., 1], f[..., 2] * f[..., 3], -coef[..., 2]
     residual = np.full(len(z), math.nan)
-    residual[arrived] = np.abs(F).max(axis=1, initial=0.0)
-    return [PathResult(_verdict(owners[p], end_z[p], code[p], residual[p]),
-                       tuple(end_z[p]), float(residual[p]), int(steps[p]))
-            for p in range(len(z))]
+    residual[a] = np.abs(num - lam * den).max(axis=1, initial=0.0)
+    solved, fiber = np.zeros((2, len(z)), dtype=bool)
+    solved[a] = residual[a] < 1e-10 * np.maximum(1.0, np.linalg.norm(za, axis=1) ** 2)
+    on = solved[a] & ~_near_degenerate(za, 1e-8)
+    fiber[a[on]] = (np.abs(num[on] / den[on] - lam[on]) < 1e-8).all(axis=1)
+    # off the fiber, a solved path has a vanishing denominator
+    lost = solved | (np.linalg.norm(z, axis=1) > 1e3) | _near_degenerate(z, 1e-4)
+    return np.where(fiber, "converged", np.where(lost, "diverged", "failed")), residual
 
 
 @dataclass(frozen=True)
@@ -530,33 +541,6 @@ def _draw_value(rng) -> complex:
         lam = complex(rng.uniform(0.5, 1.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
         if abs(lam) > 0.25 and abs(lam - 1) > 0.25:
             return lam
-
-
-def _near_degenerate(z, tol: float) -> bool:
-    """Is z within tol of a non-configuration: a coordinate at 0 or 1, or
-    two coordinates colliding, relative to the larger of the two?"""
-    return (any(abs(v) < tol or abs(v - 1) < tol for v in z)
-            or any(abs(v - w) < tol * max(1.0, abs(v), abs(w))
-                   for v, w in combinations(z, 2)))
-
-
-def _verdict(system: CrossRatioSystem, z, code, residual) -> str:
-    """The status of a path the tracker left at z with the given code and,
-    for an arrival, its residual after polishing; see PathResult."""
-    if code == _DIVERGED:
-        return "diverged"
-    scale = max(1.0, float(np.linalg.norm(z)) ** 2)
-    if not (code == _ARRIVED and residual < 1e-10 * scale):
-        if _near_degenerate(z, 1e-4) or max(abs(v) for v in z) > 1e3:
-            return "diverged"  # stalled against a non-configuration
-        return "failed"
-    if _near_degenerate(z, 1e-8):
-        return "diverged"
-    pts = system.chart.points(system.nv + 3, z)
-    if all(abs(cross_ratio(*(pts[lab] for lab in t.quad)) - t.value) < 1e-8
-           for t in system.targets):
-        return "converged"
-    return "diverged"  # cleared equation satisfied with a tiny denominator
 
 
 def _distinct(points):

@@ -72,6 +72,15 @@ def brute_vanishes(quads) -> bool:
     return False
 
 
+def near_degenerate(z, tol: float) -> bool:
+    """Is the point z within tol of a non-configuration: a coordinate at 0
+    or 1, or two coordinates colliding, relative to the larger of the two?
+    One point at a time, every pair by itself."""
+    return (any(abs(v) < tol or abs(v - 1) < tol for v in z)
+            or any(abs(v - w) < tol * max(1.0, abs(v), abs(w))
+                   for v, w in combinations(z, 2)))
+
+
 def random_problem(n: int, rng):
     from xratio import CrossRatioProblem
 

@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_all_triples_bound, brute_matching_bound, brute_vanishes, random_problem
+from oracles import (
+    brute_all_triples_bound,
+    brute_matching_bound,
+    brute_vanishes,
+    near_degenerate,
+    random_problem,
+)
 from xratio import (
     INFINITY,
     CrossRatioProblem,
@@ -36,6 +42,7 @@ from xratio.oracle import (
     _solve,
     _start_eval,
     _target_eval,
+    _verdict,
 )
 
 SNOWFLAKE = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
@@ -165,6 +172,7 @@ def test_converged_endpoints_hit_targets():
     system = build_system(SNOWFLAKE, targets)
     chart = system.chart
     results = solve_total_degree([system], [11])
+    assert all(type(r.status) is str for r in results)  # not a numpy string
     good = [r for r in results if r.status == "converged"]
     assert len(good) >= 2
     for r in good:
@@ -417,6 +425,76 @@ def test_near_degenerate_ignores_order():
         near = (v, v * (1 + 1.00005e-4), 0.3 + 2j)
         apart = (v, v * (1 + 1.0002e-4), 0.3 + 2j)
         for z, want in ((near, True), (apart, False)):
-            for perm in itertools.permutations(z):
-                assert _near_degenerate(perm, 1e-4) == want, (perm, want)
-                assert not _near_degenerate(perm, 1e-8)
+            rows = np.array(list(itertools.permutations(z)))
+            assert (_near_degenerate(rows, 1e-4) == want).all(), (z, want)
+            assert not _near_degenerate(rows, 1e-8).any()
+
+
+def test_near_degenerate_matches_scalar_reference():
+    # random rows, and rows with one coordinate or pair placed 0.1 percent
+    # inside or outside each relative bound; every row is compared with
+    # the one-point-at-a-time reference
+    rng = np.random.default_rng(3)
+    rows = []
+    for _ in range(300):
+        z = (rng.normal(size=5) + 1j * rng.normal(size=5)) * 10.0 ** rng.uniform(-2, 6, 5)
+        rows.append(z.copy())
+        for tol in (1e-4, 1e-8):
+            for side in (1 - 1e-3, 1 + 1e-3):
+                i, j = rng.choice(5, 2, replace=False)
+                phase = cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+                y = z.copy()
+                y[i] = rng.integers(2) + tol * side * phase  # next to 0 or 1
+                rows.append(y)
+                y = z.copy()
+                if abs(z[i]) > 1:  # |v - w| against |w| = |v| (1 + s)
+                    y[j] = z[i] * (1 + tol / (1 - tol) * side)
+                else:  # against the floor 1
+                    y[i] = 0.5 * z[i] / abs(z[i])
+                    y[j] = y[i] + tol * side * phase
+                rows.append(y)
+    rows = np.array(rows)
+    for tol in (1e-4, 1e-8):
+        want = [near_degenerate(z, tol) for z in rows]
+        assert _near_degenerate(rows, tol).tolist() == want
+        assert 0.2 < np.mean(want) < 0.8
+    assert not _near_degenerate(np.zeros((2, 0), dtype=complex), 1e-4).any()
+
+
+def test_verdict_hand_built_endpoints():
+    # the snowflake system whose targets are the cross-ratios at a random
+    # chart point, which is then an exact root
+    chart = matching_bound(SNOWFLAKE)[1]
+    root = np.array(rand_points(random.Random(8), 3))
+    pts = chart.points(6, root)
+    targets = tuple(Target(tuple(sorted(q)), cross_ratio(*(pts[lab] for lab in sorted(q))))
+                    for q in SNOWFLAKE.quads)
+    system = build_system(SNOWFLAKE, targets, chart)
+    z = np.array([
+        root,                                     # an exact root, arrived
+        [0.5 + 0.5j, 0.5 + 0.50001j, 2 - 1j],     # stopped at a colliding pair
+        [900, 900j, -800],                        # stopped: |z| = 1503, each |z_i| < 1e3
+        [0.3 + 2j, -1.5 + 0.2j, 2.5 - 0.7j],      # stopped, small and apart
+    ], dtype=complex)
+    assert np.linalg.norm(z[2]) > 1.5e3 and np.abs(z[2]).max() < 1e3
+    arrived = np.array([True, False, False, False])
+    K, R, coef = (np.repeat(a[None], len(z), axis=0) for a in (system.K, system.R, system.coef))
+    status, residual = _verdict(K, R, coef, z, arrived)
+    assert status.tolist() == ["converged", "diverged", "diverged", "failed"]
+    assert residual[0] < 1e-12 and np.isnan(residual[1:]).all()
+    assert np.abs(z[0] - root).max() < 1e-12  # polishing keeps the root
+
+
+def test_verdict_tiny_denominator_diverges():
+    # one unknown and f_0 = f_1 = f_2 = f_3 = z - 2: the cleared equation
+    # (1 - lam) (z - 2)^2 = 0 holds at its double root z = 2, which is no
+    # non-configuration, but the ratio f_0 f_1 / (f_2 f_3) is 1, not lam.
+    # Polishing halves the distance to the double root twelve times.
+    lam = 0.7 + 0.4j
+    K = np.full((1, 1, 4), -2, dtype=complex)
+    R = np.ones((1, 1, 4, 1), dtype=complex)
+    coef = np.array([[[1, 1, -lam, -lam]]])
+    z = np.array([[2 + 1e-3]], dtype=complex)
+    status, residual = _verdict(K, R, coef, z, np.array([True]))
+    assert status.tolist() == ["diverged"]
+    assert residual[0] < 1e-10 and 1e-8 < abs(z[0, 0] - 2) < 1e-6
