@@ -19,12 +19,9 @@ from .engine import (
     three_cut,
 )
 from .oracle import (
-    INFINITY,
     FiberCount,
     PathBudgetError,
-    Target,
     build_system,
-    cross_ratio,
     matching_bound,
     numeric_degree,
     solve_total_degree,

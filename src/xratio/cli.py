@@ -7,9 +7,9 @@ formula), oracle (numeric fiber count with engine cross-check), search
 
 Reports are JSON on stdout (--format table for a human rendering) and
 deterministic for fixed inputs and seed, except timing fields.  Exit
-codes: 0 success, 2 unreadable or malformed input, 3 invalid input
-values, 4 inconclusive oracle run or exceeded path budget, 5
-verification mismatch.
+codes: 0 success, 2 unreadable or malformed input or a results file
+that cannot be read or written, 3 invalid input values, 4 inconclusive
+oracle run or exceeded path budget, 5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -215,7 +215,10 @@ def cmd_search(ns) -> int:
         result = exhaustive_cn(ns.n, engine=engine)
     else:
         result = heuristic_cn(ns.n, budget=ns.budget, seed=ns.seed, engine=engine)
-    append_result(out, result)
+    try:
+        append_result(out, result)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {out!r}: {exc}")
     report = result.to_json()
     report["out"] = out
     lines = [f"n={result.n} mode={result.mode} best_degree={result.best_degree}"

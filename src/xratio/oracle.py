@@ -3,15 +3,18 @@
 A configuration of k = n-3 quads determines k cross-ratio equations in
 the point positions.  Fixing three labels at (inf, 0, 1) kills the
 Moebius freedom, leaving a square polynomial system in the remaining k
-positions.  Clearing the denominator of a cross-ratio gives the equation
-N_j - lambda_j D_j, where N_j and D_j are each a product of two
-differences of chart positions (a difference through the label at
-infinity cancels between them); the system keeps it in that product
-form, four affine factors per equation.  It has degree at most 1 in each
-unknown and is supported on the unknowns of its quad.  So the
-multihomogeneous Bezout number with one group per unknown is the
-permanent of the 0/1 matrix "quad j holds unknown i", the number
-of perfect matchings of quads to unknowns.  The charts pin three labels
+positions.  A chart is the triple (inf, zero, one) of the labels it pins;
+the other labels, in ascending order, are the unknowns z.  The targets are
+plain values: lambda_j is the cross-ratio asked of problem.quads[j], on
+its labels in ascending order, (a, b, c, d) -> (a-c)(b-d) / ((a-d)(b-c)).
+Clearing its denominator gives the equation N_j - lambda_j D_j, where N_j
+and D_j are each a product of two differences of chart positions (a
+difference through the label at infinity cancels between them); the
+system keeps it in that product form, four affine factors per equation.
+It has degree at most 1 in each unknown and is supported on the unknowns
+of its quad.  So the multihomogeneous Bezout number with one group per
+unknown is the permanent of the 0/1 matrix "quad j holds unknown i", the
+number of perfect matchings of quads to unknowns.  The charts pin three labels
 of one quad, as listed by `engine.surplus`, whose Hall test finds the
 charts with none.  One enumerator, `_matchings`, lists the others'
 matchings: `matching_bound` counts them chart by chart, stopping at the
@@ -49,10 +52,6 @@ from .engine.instance import _is_int
 from .engine.surplus import hall_failure, quad_charts
 
 __all__ = [
-    "INFINITY",
-    "cross_ratio",
-    "Target",
-    "Chart",
     "CrossRatioSystem",
     "PathResult",
     "FiberCount",
@@ -63,7 +62,6 @@ __all__ = [
     "numeric_degree",
 ]
 
-INFINITY = complex(math.inf, 0.0)
 TRIALS = 3  # independent target draws per numeric_degree call
 MAX_STEPS = 3000  # predictor-corrector steps per path
 MATCHING_STEPS = 1 << 22  # search steps of one chart scan or start-root enumeration
@@ -81,56 +79,6 @@ def _check_count(name, value, optional=False):
     if not (optional and value is None or _is_int(value) and value >= 0):
         none = "None or " if optional else ""
         raise ValueError(f"{name} must be {none}an integer >= 0, got {value!r}")
-
-
-def cross_ratio(pa, pb, pc, pd) -> complex:
-    """((pa-pc)(pb-pd)) / ((pa-pd)(pb-pc)), with the limit when one
-    argument is infinite.  Normalized so cross_ratio(inf, 0, 1, x) == x."""
-    pts = [complex(p) for p in (pa, pb, pc, pd)]
-    inf_at = [i for i, p in enumerate(pts) if cmath.isinf(p)]
-    if len(inf_at) > 1:
-        raise ValueError("at most one point may be infinite")
-    a, b, c, d = pts
-    if not inf_at:
-        return ((a - c) * (b - d)) / ((a - d) * (b - c))
-    i = inf_at[0]
-    if i == 0:
-        return (b - d) / (b - c)
-    if i == 1:
-        return (a - c) / (a - d)
-    if i == 2:
-        return (b - d) / (a - d)
-    return (a - c) / (b - c)
-
-
-@dataclass(frozen=True)
-class Target:
-    """One constrained quad with its generic cross-ratio value."""
-
-    quad: tuple[int, int, int, int]  # ascending labels; cross-ratio in this order
-    value: complex
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Gauge fixing: three labels pinned at inf, 0, 1; the rest unknown."""
-
-    inf_label: int
-    zero_label: int
-    one_label: int
-    unknowns: tuple[int, ...]
-
-    def position(self, label: int, z) -> complex:
-        if label == self.inf_label:
-            return INFINITY
-        if label == self.zero_label:
-            return 0j
-        if label == self.one_label:
-            return 1 + 0j
-        return complex(z[self.unknowns.index(label)])
-
-    def points(self, n: int, z) -> dict[int, complex]:
-        return {lab: self.position(lab, z) for lab in range(1, n + 1)}
 
 
 def _matchings(rows: list[int], steps: list[int]):
@@ -158,9 +106,10 @@ def _matchings(rows: list[int], steps: list[int]):
 
 
 def matching_bound(problem: CrossRatioProblem,
-                   cap: int | None = None) -> tuple[int, Chart]:
+                   cap: int | None = None) -> tuple[int, tuple[int, int, int]]:
     """The least permanent, over the charts of `surplus.quad_charts`, of
-    the 0/1 matrix "quad j holds unknown i", and the chart that attains it.
+    the 0/1 matrix "quad j holds unknown i", and the chart that attains it
+    as the labels (inf, zero, one) it pins.
 
     Every permanent bounds the degree from above.  A chart failing the
     Hall test `surplus.hall_failure` has permanent 0, and one fails
@@ -193,9 +142,7 @@ def matching_bound(problem: CrossRatioProblem,
     triple = [b + 1 for b in triple]
     freq = {lab: sum(lab in q for q in problem.quads) for lab in triple}
     inf_label = max(triple, key=lambda lab: (freq[lab], -lab))
-    zero_label, one_label = (lab for lab in triple if lab != inf_label)
-    unknowns = tuple(lab for lab in range(1, n + 1) if lab not in triple)
-    return bound, Chart(inf_label, zero_label, one_label, unknowns)
+    return bound, (inf_label, *(lab for lab in triple if lab != inf_label))
 
 
 _PARTNER = np.array([1, 0, 3, 2])  # the other factor of each factor's product
@@ -250,24 +197,24 @@ def _solve(H, b):
         return x, good
 
 
+@dataclass(frozen=True, eq=False)
 class CrossRatioSystem:
-    """Cleared equations N_j - value_j * D_j in product form.
+    """Cleared equations N_j - lam_j * D_j in product form, in the chart
+    (inf, zero, one) of pinned labels, lam_j = values[j].
 
     For the quad (a, b, c, d) of equation j, factor f of the pairs
     (a,c), (b,d), (a,d), (b,c) is K[j, f] + R[j, f] @ z, the difference of
     the two chart positions; a factor through the infinite label is the
     constant 1, since that label cancels between N_j and D_j.  Each factor
-    carries the coefficient of its product, coef[j] = (1, 1, -lam_j, -lam_j)
-    with lam_j the target value, so F_j = f_j0 f_j1 - lam_j f_j2 f_j3.
+    carries the coefficient of its product, coef[j] = (1, 1, -lam_j, -lam_j),
+    so F_j = f_j0 f_j1 - lam_j f_j2 f_j3.
     """
 
-    def __init__(self, chart: Chart, targets: tuple[Target, ...],
-                 K: np.ndarray, R: np.ndarray, coef: np.ndarray):
-        self.chart = chart
-        self.targets = targets
-        self.K = K
-        self.R = R
-        self.coef = coef
+    chart: tuple[int, int, int]
+    values: tuple[complex, ...]
+    K: np.ndarray
+    R: np.ndarray
+    coef: np.ndarray
 
     @property
     def nv(self) -> int:
@@ -280,34 +227,42 @@ class CrossRatioSystem:
         return (self.R != 0).any(axis=1)
 
 
-def build_system(problem: CrossRatioProblem, targets,
-                 chart: Chart | None = None) -> CrossRatioSystem:
-    """Assemble the cleared square system for the given targets, in the
-    given chart, by default the chart of `matching_bound(problem)`."""
+def build_system(problem: CrossRatioProblem, values,
+                 chart: tuple[int, int, int] | None = None) -> CrossRatioSystem:
+    """Assemble the cleared square system whose equation j asks for the
+    cross-ratio values[j] of problem.quads[j], its labels in ascending
+    order, in the chart (inf, zero, one), by default that of
+    `matching_bound(problem)`.  The unpinned labels are the unknowns, in
+    ascending order.  A chart that does not pin three distinct int labels
+    of 1..n, or a value count other than the quad count, is a ValueError.
+    """
+    n = problem.n
     if chart is None:
         chart = matching_bound(problem)[1]
-    targets = tuple(targets)
-    if len(targets) != len(problem.quads):
-        raise ValueError("need one target per quad")
-    if sorted(t.quad for t in targets) != sorted(tuple(sorted(q)) for q in problem.quads):
-        raise ValueError("targets do not match the problem's quads")
-    nv = len(chart.unknowns)
-    k = len(targets)
+    if not (len(chart) == 3 and all(_is_int(lab) and 1 <= lab <= n for lab in chart)
+            and len(set(chart)) == 3):
+        raise ValueError(
+            f"chart {chart!r} does not pin three distinct int labels of 1..{n}")
+    values = tuple(values)
+    k = len(problem.quads)
+    if len(values) != k:
+        raise ValueError(f"need one value per quad ({k}), got {len(values)}")
+    inf, _, one = chart
+    col = {lab: i for i, lab in enumerate(lab for lab in range(1, n + 1) if lab not in chart)}
     K = np.ones((k, 4), dtype=complex)
-    R = np.zeros((k, 4, nv), dtype=complex)
+    R = np.zeros((k, 4, n - 3), dtype=complex)
     coef = np.ones((k, 4), dtype=complex)
-    origin = np.zeros(nv)
-    for j, tgt in enumerate(targets):
-        a, b, c, d = tgt.quad
-        coef[j, 2:] = -tgt.value
+    for j, (quad, value) in enumerate(zip(problem.quads, values)):
+        a, b, c, d = sorted(quad)
+        coef[j, 2:] = -value
         for f, (p, q) in enumerate(((a, c), (b, d), (a, d), (b, c))):
-            if chart.inf_label in (p, q):
+            if inf in (p, q):
                 continue  # the infinite point cancels between N and D
-            K[j, f] = chart.position(p, origin) - chart.position(q, origin)
+            K[j, f] = (p == one) - (q == one)  # at z = 0 only the one label is not at 0
             for lab, sign in ((p, 1), (q, -1)):
-                if lab in chart.unknowns:
-                    R[j, f, chart.unknowns.index(lab)] = sign
-    return CrossRatioSystem(chart, targets, K, R, coef)
+                if lab in col:
+                    R[j, f, col[lab]] = sign
+    return CrossRatioSystem(chart, values, K, R, coef)
 
 
 @dataclass(frozen=True)
@@ -374,7 +329,7 @@ def _track(K, R, coef, A, M, gamma, z):
     few-step Newton corrector, step halving on corrector failure; each
     path keeps its own t, step size, success streak and step count.  It
     stops on arrival (corrected at t = 1, |z| <= 1e8), escape (corrected,
-    |z| > 1e8), stall (step below 1e-9 after a failed correction) or past
+    |z| > 1e8), stall (step below 1e-9 after a failed correction) or after
     MAX_STEPS steps.  Returns the end points, arrival mask and step counts.
     """
     P = len(z)
@@ -402,12 +357,10 @@ def _track(K, R, coef, A, M, gamma, z):
 
     while len(ids):
         steps += 1
-        over = steps > MAX_STEPS
         dt = np.minimum(dt, 1.0 - t)
         t1 = t + dt
         z1, live = _predict(lambda tt, zz: homotopy(tt, zz, True), t, z, dt)
-        ok = _newton(lambda zz: homotopy(t1, zz), z1,
-                     live & ~over, 3, 1e-9)
+        ok = _newton(lambda zz: homotopy(t1, zz), z1, live, 3, 1e-9)
 
         z = np.where(ok[:, None], z1, z)
         t = np.where(ok, t1, t)
@@ -417,7 +370,7 @@ def _track(K, R, coef, A, M, gamma, z):
         streak[grow] = 0
         big = np.linalg.norm(z, axis=1)
         arrive = ok & (big <= 1e8) & (t >= 1.0)
-        out = arrive | over | (~ok & (dt < 1e-9)) | (ok & (big > 1e8))
+        out = arrive | (steps >= MAX_STEPS) | (~ok & (dt < 1e-9)) | (ok & (big > 1e8))
         if out.any():
             end_z[ids[out]] = z[out]
             arrived[ids[out]] = arrive[out]
@@ -588,10 +541,7 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
     for _ in range(TRIALS):
         values = [_draw_value(rng) for _ in problem.quads]
         seeds.append(int(rng.integers(0, 2**31)))
-        targets = tuple(
-            Target(tuple(sorted(q)), lam) for q, lam in zip(problem.quads, values)
-        )
-        systems.append(build_system(problem, targets, chart))
+        systems.append(build_system(problem, values, chart))
     # bound 0: every chart is dead, so there is no start root to track
     results = solve_total_degree(systems, seeds) if bound else []
 
@@ -626,6 +576,6 @@ def numeric_degree(problem: CrossRatioProblem, seed: int = 1729,
         min_separation=min_sep,
         inconclusive=bool(reasons),
         bound=bound,
-        chart=(chart.inf_label, chart.zero_label, chart.one_label),
+        chart=chart,
         reasons=tuple(reasons),
     )

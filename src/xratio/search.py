@@ -284,9 +284,9 @@ def heuristic_cn(n: int, budget: int = 200_000, seed: int = 1729,
 
 
 class ResultsFileError(ValueError):
-    """A results file is not UTF-8, holds a record that is neither valid
-    nor a torn tail, or holds a resumed record the search could not have
-    written."""
+    """A results file cannot be read, is not UTF-8, holds a record that is
+    neither valid nor a torn tail, or holds a resumed record the search
+    could not have written."""
 
 
 def append_result(path: str, result: SearchResult) -> None:
@@ -318,15 +318,15 @@ def _records(path: str):
     file has none.
 
     An unparseable last line is the torn tail of an interrupted append and
-    is skipped.  Any other bad line, or bytes that are not UTF-8, raise
-    ResultsFileError.
+    is skipped.  Any other bad line, bytes that are not UTF-8, or a path
+    that cannot be read (a directory, say) raise ResultsFileError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except FileNotFoundError:
         return
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ResultsFileError(f"{path}: {exc}") from exc
     while lines and not lines[-1].strip():
         lines.pop()

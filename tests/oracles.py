@@ -3,10 +3,12 @@
 Everything here is deliberately brute force and shares no code with the
 package internals: crossing tests are done with coordinate geometry,
 triangulations by filtering all diagonal subsets, the vanishing test by
-enumerating every sub-multiset, and canonical labeling by walking the
-whole individualization-refinement tree without automorphism pruning.
+enumerating every sub-multiset, canonical labeling by walking the
+whole individualization-refinement tree without automorphism pruning,
+and cross-ratios one quad at a time from the chart's point positions.
 """
 
+import cmath
 import math
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -79,6 +81,42 @@ def near_degenerate(z, tol: float) -> bool:
     return (any(abs(v) < tol or abs(v - 1) < tol for v in z)
             or any(abs(v - w) < tol * max(1.0, abs(v), abs(w))
                    for v, w in combinations(z, 2)))
+
+
+INFINITY = complex(math.inf, 0.0)
+
+
+def cross_ratio(pa, pb, pc, pd) -> complex:
+    """((pa-pc)(pb-pd)) / ((pa-pd)(pb-pc)), with the limit when one
+    argument is infinite.  Normalized so cross_ratio(inf, 0, 1, x) == x.
+    One quad at a time, against which the oracle's product-form factors
+    are checked."""
+    pts = [complex(p) for p in (pa, pb, pc, pd)]
+    inf_at = [i for i, p in enumerate(pts) if cmath.isinf(p)]
+    if len(inf_at) > 1:
+        raise ValueError("at most one point may be infinite")
+    a, b, c, d = pts
+    if not inf_at:
+        return ((a - c) * (b - d)) / ((a - d) * (b - c))
+    i = inf_at[0]
+    if i == 0:
+        return (b - d) / (b - c)
+    if i == 1:
+        return (a - c) / (a - d)
+    if i == 2:
+        return (b - d) / (a - d)
+    return (a - c) / (b - c)
+
+
+def chart_points(n: int, chart, z) -> dict:
+    """Label -> position of the chart point z: the labels of the chart
+    (inf, zero, one) at INFINITY, 0 and 1, the others, in ascending order,
+    at the coordinates of z."""
+    inf, zero, one = chart
+    unknowns = [lab for lab in range(1, n + 1) if lab not in chart]
+    points = {inf: INFINITY, zero: 0j, one: 1 + 0j}
+    points.update((lab, complex(v)) for lab, v in zip(unknowns, z, strict=True))
+    return points
 
 
 def random_problem(n: int, rng):

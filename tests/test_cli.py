@@ -287,6 +287,27 @@ def test_search_resume_refuses_records_the_search_cannot_write(capsys, tmp_path)
     assert code == 3
 
 
+def test_search_results_directory_exit(capsys, tmp_path):
+    # a directory is no results file, to resume from or to append to
+    for resume in (("--resume",), ()):
+        code = main(["search", "--n", "6", "--mode", "exhaustive",
+                     "--out", str(tmp_path), *resume])
+        assert code == 2, resume
+        assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_results_in_missing_directory_exit(capsys, tmp_path):
+    out = tmp_path / "no_such_dir" / "runs.jsonl"
+    for resume in (("--resume",), ()):
+        code = main(["search", "--n", "6", "--mode", "exhaustive",
+                     "--out", str(out), *resume])
+        assert code == 2, resume
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_search_rejects_bad_n(capsys, tmp_path):
     out = str(tmp_path / "runs.jsonl")
     code, _ = run(capsys, "search", "--n", "5", "--out", out)

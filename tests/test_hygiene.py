@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses what it imports,
 every private module-level name of the package is read somewhere in it,
-and every function the benchmark's tracer wraps exists.
+every name a module exports in `__all__` exists, and every function the
+benchmark's tracer wraps exists.
 
 The import check is an AST scan, no import of the package.  A name
 bound by an import counts as used when it is read anywhere in the module
@@ -123,3 +124,21 @@ def test_tracer_layer_functions_resolve():
     missing = [f"{modname}.{fname}" for _, modname, fnames in layers for fname in fnames
                if not callable(getattr(importlib.import_module(modname), fname, None))]
     assert missing == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from module import *`; __main__ is skipped, importing it runs the CLI
+    missing = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        modname = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(modname)
+        missing += [f"{modname}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+    namespace = {}
+    exec("from xratio.oracle import *", namespace)
+    assert {"numeric_degree", "build_system", "matching_bound"} <= namespace.keys()

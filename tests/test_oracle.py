@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 
 from oracles import (
+    INFINITY,
     brute_all_triples_bound,
     brute_matching_bound,
     brute_vanishes,
+    chart_points,
+    cross_ratio,
     near_degenerate,
     random_problem,
 )
 from xratio import (
-    INFINITY,
     CrossRatioProblem,
     Engine,
     PathBudgetError,
-    Target,
     Triangulation,
     build_system,
     closed_formula_degree,
-    cross_ratio,
     degree,
     enumerate_triangulations,
     inscribed_polygon_triangulation,
@@ -36,7 +36,6 @@ from xratio import (
 from xratio.cli import load_input
 from xratio.oracle import (
     TRIALS,
-    Chart,
     _near_degenerate,
     _predict,
     _solve,
@@ -102,46 +101,48 @@ def test_cross_ratio_permutation_identities():
 
 def test_matching_bound_chart_snowflake():
     bound, chart = matching_bound(SNOWFLAKE)
-    pinned = (chart.inf_label, chart.zero_label, chart.one_label)
-    assert len(set(pinned)) == 3
-    assert chart.unknowns == tuple(lab for lab in range(1, 7) if lab not in pinned)
-    z = np.array([4j, 5j, 6j])
-    assert chart.position(chart.inf_label, z) == INFINITY
-    assert chart.position(chart.zero_label, z) == 0
-    assert chart.position(chart.one_label, z) == 1
-    assert chart.position(chart.unknowns[1], z) == 5j
-    assert build_system(SNOWFLAKE, (Target(tuple(sorted(q)), 2j)
-                                    for q in SNOWFLAKE.quads)).chart == chart
+    inf, zero, one = chart
+    assert len(set(chart)) == 3
+    unknowns = [lab for lab in range(1, 7) if lab not in chart]
+    pts = chart_points(6, chart, [4j, 5j, 6j])
+    assert (pts[inf], pts[zero], pts[one], pts[unknowns[1]]) == (INFINITY, 0, 1, 5j)
+    assert build_system(SNOWFLAKE, (2j for _ in SNOWFLAKE.quads)).chart == chart
 
 
 def test_system_degrees_linear_fan():
     # both quads through the infinity label turn linear
     p = CrossRatioProblem(5, ({5, 1, 2, 3}, {5, 1, 3, 4}))
-    targets = tuple(Target(tuple(sorted(q)), 2 + 1j) for q in p.quads)
-    system = build_system(p, targets)
+    system = build_system(p, [2 + 1j] * 2)
     assert system.nv == 2
     assert matching_bound(p)[0] == 1
 
 
 def test_system_degrees_snowflake():
-    targets = tuple(Target(tuple(sorted(q)), 0.5 + 1j) for q in SNOWFLAKE.quads)
-    system = build_system(SNOWFLAKE, targets)
+    system = build_system(SNOWFLAKE, [0.5 + 1j] * 3)
     assert system.nv == 3
     assert matching_bound(SNOWFLAKE)[0] == 2
 
 
 def test_build_system_validates_targets():
-    targets = (Target((1, 2, 3, 4), 1j),) * 3
-    with pytest.raises(ValueError):
-        build_system(SNOWFLAKE, targets)
+    for values in ([1j] * 2, [1j] * 4):
+        with pytest.raises(ValueError, match="one value per quad"):
+            build_system(SNOWFLAKE, values)
+
+
+def test_build_system_validates_chart():
+    # a repeated label, label 0, label n+1, a non-int label, a bool, and
+    # the old unknowns-list form, which built a non-square system
+    for chart in ((1, 2, 2), (0, 2, 3), (1, 2, 7), (1, 2, 3.0), (1, True, 3),
+                  (4, 5, 6, 7), (1, 2)):
+        with pytest.raises(ValueError, match=r"^chart .* does not pin three distinct int"
+                                             r" labels of 1\.\.6$") as err:
+            build_system(SNOWFLAKE, [1j] * 3, chart)
+        assert repr(chart) in str(err.value)
+    assert build_system(SNOWFLAKE, [1j] * 3, [6, 1, 2]).nv == 3
 
 
 def test_eval_jac_finite_difference():
-    targets = tuple(
-        Target(tuple(sorted(q)), v)
-        for q, v in zip(SNOWFLAKE.quads, (0.7 + 0.2j, 1.3 - 0.4j, -0.8 + 1.1j))
-    )
-    system = build_system(SNOWFLAKE, targets)
+    system = build_system(SNOWFLAKE, (0.7 + 0.2j, 1.3 - 0.4j, -0.8 + 1.1j))
     K, R, coef = (np.repeat(a[None], 10, axis=0) for a in (system.K, system.R, system.coef))
     rng = np.random.default_rng(5)
     z = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
@@ -155,37 +156,31 @@ def test_eval_jac_finite_difference():
     # F_j = f_j2 f_j3 (cross-ratio - lam_j); the chart puts a label of
     # some quads at infinity, whose factors are the constant 1
     chart = system.chart
-    assert any(chart.inf_label in t.quad for t in targets)
+    assert any(chart[0] in q for q in SNOWFLAKE.quads)
     f = K + np.matmul(R, z[:, None, :, None])[..., 0]
     for p in range(10):
-        pts = chart.points(6, z[p])
-        for j, t in enumerate(system.targets):
-            want = f[p, j, 2] * f[p, j, 3] * (cross_ratio(*(pts[lab] for lab in t.quad)) - t.value)
+        pts = chart_points(6, chart, z[p])
+        for j, (q, value) in enumerate(zip(SNOWFLAKE.quads, system.values)):
+            want = f[p, j, 2] * f[p, j, 3] * (cross_ratio(*(pts[lab] for lab in sorted(q))) - value)
             assert abs(F[p, j] - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_converged_endpoints_hit_targets():
     values = (0.9 + 0.6j, 1.4 - 0.3j, 0.5 + 1.2j)
-    targets = tuple(
-        Target(tuple(sorted(q)), v) for q, v in zip(SNOWFLAKE.quads, values)
-    )
-    system = build_system(SNOWFLAKE, targets)
-    chart = system.chart
+    system = build_system(SNOWFLAKE, values)
     results = solve_total_degree([system], [11])
     assert all(type(r.status) is str for r in results)  # not a numpy string
     good = [r for r in results if r.status == "converged"]
     assert len(good) >= 2
     for r in good:
-        pts = chart.points(6, r.z)
+        pts = chart_points(6, system.chart, r.z)
         for q, v in zip(SNOWFLAKE.quads, values):
-            qq = tuple(sorted(q))
-            got = cross_ratio(*(pts[lab] for lab in qq))
+            got = cross_ratio(*(pts[lab] for lab in sorted(q)))
             assert abs(got - v) < 1e-7
 
 
 def test_solve_deterministic(monkeypatch):
-    targets = tuple(Target(tuple(sorted(q)), 0.8 + 0.9j) for q in SNOWFLAKE.quads)
-    system = build_system(SNOWFLAKE, targets)
+    system = build_system(SNOWFLAKE, [0.8 + 0.9j] * 3)
     r1 = solve_total_degree([system], [21])
     r2 = solve_total_degree([system], [21])
     monkeypatch.setattr("xratio.oracle.BATCH_BYTES", 1)  # one path per batch
@@ -275,8 +270,7 @@ def test_matching_bound_bounds_degree():
         bound, chart = matching_bound(p)
         assert (bound == 0) == brute_vanishes(p.quads), p.quads
         assert degree(p) <= bound, p.quads
-        assert sorted((chart.inf_label, chart.zero_label, chart.one_label,
-                       *chart.unknowns)) == list(range(1, p.n + 1))
+        assert len(set(chart)) == 3 and set(chart) <= set(range(1, p.n + 1))
         vanishing += bound == 0
     assert 0 < vanishing < 300
 
@@ -301,8 +295,7 @@ def test_matching_bound_matches_brute_reference():
     for i in range(150):
         p = random_problem(5 + i % 5, rng)
         bound, chart = matching_bound(p)
-        assert (bound, (chart.inf_label, chart.zero_label, chart.one_label)) \
-            == brute_matching_bound(p.n, p.quads), p.quads
+        assert (bound, chart) == brute_matching_bound(p.n, p.quads), p.quads
         least = brute_all_triples_bound(p.n, p.quads)[0]
         assert bound >= least and (bound == 0) == (least == 0), p.quads
         assert matching_bound(p, cap=1)[0] == min(bound, 2), p.quads
@@ -328,7 +321,7 @@ def test_matching_bound_inscribed_within_steps():
     # MATCHING_STEPS; a scan of all C(n,3) triples needs 7.7M steps at n=21
     for n, bound in ((21, 256), (25, 1024)):
         p = triangulation_to_problem(inscribed_polygon_triangulation(n))
-        assert matching_bound(p) == (bound, Chart(1, 2, 3, tuple(range(4, n + 1)))), n
+        assert matching_bound(p) == (bound, (1, 2, 3)), n
 
 
 def test_paths_tracked_is_trials_times_bound():
@@ -338,7 +331,7 @@ def test_paths_tracked_is_trials_times_bound():
         bound, chart = matching_bound(p)
         fc = numeric_degree(p, seed=rng.randrange(2**31))
         assert fc.bound == bound
-        assert fc.chart == (chart.inf_label, chart.zero_label, chart.one_label)
+        assert fc.chart == chart
         assert fc.paths_tracked == TRIALS * bound
         assert fc.paths_diverged == 0
         assert not fc.inconclusive and fc.count == degree(p) == bound
@@ -418,6 +411,29 @@ def test_13gon_step_ceiling(monkeypatch):
     assert sum(r.steps for r in results) <= 1500
 
 
+def test_capped_path_stops_at_max_steps(monkeypatch):
+    # no path of the inscribed 9-gon arrives within 3 steps of dt <= 0.1:
+    # each stops after exactly MAX_STEPS steps and, stopped short of t = 1,
+    # is judged failed
+    p = triangulation_to_problem(inscribed_polygon_triangulation(9))
+    calls = []
+    solve = oracle.solve_total_degree
+
+    def spy(systems, seeds):
+        calls.append(solve(systems, seeds))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "solve_total_degree", spy)
+    for cap in (1, 3):
+        monkeypatch.setattr(oracle, "MAX_STEPS", cap)
+        calls.clear()
+        numeric_degree(p)
+        (results,) = calls
+        assert len(results) == 12
+        assert max(r.steps for r in results) <= cap
+        assert {r.status for r in results} == {"failed"}
+
+
 def test_near_degenerate_ignores_order():
     # a collision is judged relative to the larger point of the pair, so
     # w = v * (1 + 1.00005e-4) is within 1e-4 whichever of v, w comes first
@@ -466,10 +482,9 @@ def test_verdict_hand_built_endpoints():
     # chart point, which is then an exact root
     chart = matching_bound(SNOWFLAKE)[1]
     root = np.array(rand_points(random.Random(8), 3))
-    pts = chart.points(6, root)
-    targets = tuple(Target(tuple(sorted(q)), cross_ratio(*(pts[lab] for lab in sorted(q))))
-                    for q in SNOWFLAKE.quads)
-    system = build_system(SNOWFLAKE, targets, chart)
+    pts = chart_points(6, chart, root)
+    values = [cross_ratio(*(pts[lab] for lab in sorted(q))) for q in SNOWFLAKE.quads]
+    system = build_system(SNOWFLAKE, values, chart)
     z = np.array([
         root,                                     # an exact root, arrived
         [0.5 + 0.5j, 0.5 + 0.50001j, 2 - 1j],     # stopped at a colliding pair
