@@ -15,6 +15,7 @@ oracle run or exceeded path budget, 5 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -198,6 +199,18 @@ def cmd_oracle(ns) -> int:
     return EXIT_OK
 
 
+def _append_error(out: str) -> OSError | None:
+    """The error appending to out would raise when out is a directory or
+    its directory is missing, found without creating anything; else None."""
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return None
+    return OSError(code, os.strerror(code), out)
+
+
 def cmd_search(ns) -> int:
     out = ns.out
     if ns.resume:
@@ -210,6 +223,9 @@ def cmd_search(ns) -> int:
             report["resumed"] = True
             emit(report, ns.fmt)
             return EXIT_OK
+    refused = _append_error(out)
+    if refused is not None:  # before the search, whose result would be lost
+        raise CliError(EXIT_PARSE, f"cannot write {out!r}: {refused}")
     engine = Engine(cache_cap=ns.cache_cap)
     if ns.mode == "exhaustive":
         result = exhaustive_cn(ns.n, engine=engine)

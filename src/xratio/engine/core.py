@@ -21,16 +21,23 @@ Leaf stripping: a label in exactly one quad (a leaf) is cut off by the
 quad's other three labels, a side of degree 1, so `_strip_leaves` drops
 every leaf with its quad, repeatedly, and the other finders run only
 on leafless configurations (a quad with two leaves leaves its second
-leaf in no quad, a remainder of degree 0).  The canonical key comes
-before every shortcut, so it is taken on leafy configurations too.
+leaf in no quad, a remainder of degree 0).
 Double cut: three quads pairwise sharing two labels and covering six,
 factor 2; an internal triangle of a triangulation is one.  Three-cut:
 three labels C that separate the quads into groups on C|X and C|Y; its
 C(m,3) triple scan runs last, so only configurations with no leaf and
-no double cut (chains of glued blocks) pay for it.  A cache miss uses
-the first that fires, in that order, then the bare recursion;
+no double cut (chains of glued blocks) pay for it.  A node uses the
+first that fires, in that order, then the bare recursion;
 `Engine(shortcuts=False)`, the bare recursion alone, is the reference
 the tests check every identity against.
+
+Only the bare recursion, a sum over splits, meets the same subproblem
+many times, so the canonical key and the cache serve it and the root.
+The root of each `Engine.degree` call and each side of a bare split are
+keyed before the shortcuts; a side of a shortcut runs the finders
+unkeyed and is keyed only when none fires, just before it branches.
+A triangulation, which leaf stripping and the double cut reduce with
+no branching, takes one key, at its root.
 
 The recursion runs on `inst.compact()`; every side configuration, of a
 split or of a shortcut, is built by `side_form`.
@@ -61,6 +68,12 @@ __all__ = [
 ]
 
 DEGREE_LIMIT = 1 << 64  # degrees of supported instance sizes fit in uint64
+
+
+def _checked(val):
+    if val >= DEGREE_LIMIT:
+        raise OverflowError(f"degree {val} exceeds the uint64 contract")
+    return val
 
 
 def _partitions(full, masks, s1):
@@ -253,12 +266,18 @@ def _find_double_cut(m, masks):
 class Engine:
     """Degree computations with a relabeling-aware memo cache.
 
-    A cache miss uses the first shortcut that fires (leaf stripping, the
-    double cut, the three-cut), else the bare recursion, split at the
-    first quad with its first pairing (the value does not depend on that
-    choice).  With shortcuts=False every miss runs the bare recursion.
-    cache_cap bounds the cache entries (None: no bound, 0: no caching);
-    any value but None or an int >= 0 is a ValueError.
+    A node uses the first shortcut that fires (leaf stripping, the double
+    cut, the three-cut), else the bare recursion, split at the first quad
+    with its first pairing (the value does not depend on that choice).
+    With shortcuts=False every node runs the bare recursion.  The cache
+    is keyed by canonical key on the keyed nodes with 6 or more labels:
+    the root of each `degree` call and each side of a bare split, looked
+    up first, and a shortcut side that no shortcut reduces, looked up
+    just before it branches.  `nodes` counts every node with 5 or more
+    labels; `cache_hits` and `cache_misses` count the keyed nodes, so
+    their sum is the number of keys taken.  cache_cap bounds the cache
+    entries (None: no bound, 0: no caching); any value but None or an
+    int >= 0 is a ValueError.
     """
 
     def __init__(self, shortcuts: bool = True, cache_cap: int | None = None):
@@ -279,26 +298,43 @@ class Engine:
         return self._degree(m, tuple(sorted(masks)))
 
     def _degree(self, m, masks) -> int:
+        # keyed before the shortcuts: the root, so a repeated or relabeled
+        # input is one lookup, and each side of a bare split
         if m <= 4:
             return 1
         self.nodes += 1
+        return self._keyed(m, masks, self._compute)
+
+    def _side_degree(self, m, masks) -> int:
+        # a shortcut side: its own shortcuts are cheaper than a key, so it
+        # is keyed only when none fires and it is about to branch
+        if m <= 4:
+            return 1
+        self.nodes += 1
+        val = self._shortcut(m, masks)
+        return self._keyed(m, masks, self._bare) if val is None else val
+
+    def _keyed(self, m, masks, compute) -> int:
         if m < 6:
-            return self._compute(m, masks)
-        # key first: keying leaf-stripped cores measured slower (they need more individualization)
+            return compute(m, masks)
         key = canonical_key(m, masks)
         hit = self._cache.get(key)
         if hit is not None:
             self.cache_hits += 1
             return hit
-        val = self._compute(m, masks)
-        if val >= DEGREE_LIMIT:  # m < 6 above gives 0 or 1
-            raise OverflowError(f"degree {val} exceeds the uint64 contract")
+        val = compute(m, masks)
         self.cache_misses += 1
         if self.cache_cap is None or len(self._cache) < self.cache_cap:
             self._cache[key] = val
         return val
 
     def _compute(self, m, masks) -> int:
+        val = self._shortcut(m, masks)
+        return self._bare(m, masks) if val is None else val
+
+    def _shortcut(self, m, masks):
+        """Factor times the side degrees of the first shortcut that fires,
+        or None when none fires."""
         for find in self._shortcuts:
             hit = find(m, masks)
             if hit is not None:
@@ -306,15 +342,18 @@ class Engine:
                 for idx, labels in sides:
                     if total == 0:
                         break
-                    total *= self._degree(*side_form([masks[j] for j in idx], labels))
-                return total
+                    total *= self._side_degree(*side_form([masks[j] for j in idx], labels))
+                return _checked(total)
+        return None
+
+    def _bare(self, m, masks) -> int:
         total = 0
         for a1, a2 in _partitions((1 << m) - 1, masks, 0):
             d1 = self._degree(*_side(m, masks, a1))
             if d1 == 0:
                 continue
             total += d1 * self._degree(*_side(m, masks, a2))
-        return total
+        return _checked(total)
 
 
 @dataclass(frozen=True)

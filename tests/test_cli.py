@@ -30,8 +30,9 @@ def test_degree_bundled_fixtures(capsys):
     assert rep["n"] == 13
     assert rep["degree"] == 8
     assert rep["method"] == "recursion"
-    # engine counters: 5 cached computations, no cache hit, no uncached node
-    assert (rep["nodes"], rep["cache_hits"], rep["cache_misses"]) == (5, 0, 5)
+    # engine counters: 5 nodes, of which only the root takes a key (a miss);
+    # the shortcut sides below it fire shortcuts of their own and take none
+    assert (rep["nodes"], rep["cache_hits"], rep["cache_misses"]) == (5, 0, 1)
 
     code, rep = run_json(capsys, "degree", "snowflake.json")
     assert (code, rep["degree"]) == (0, 2)
@@ -297,7 +298,13 @@ def test_search_results_directory_exit(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_search_results_in_missing_directory_exit(capsys, tmp_path):
+def test_search_results_in_missing_directory_exit(capsys, tmp_path, monkeypatch):
+    # refused before any search runs: a search here would be thrown away
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(cli, "exhaustive_cn", no_search)
+    monkeypatch.setattr(cli, "heuristic_cn", no_search)
     out = tmp_path / "no_such_dir" / "runs.jsonl"
     for resume in (("--resume",), ()):
         code = main(["search", "--n", "6", "--mode", "exhaustive",

@@ -652,6 +652,55 @@ def test_cache_hits_on_repeat_and_relabel():
     assert eng.cache_misses == misses
 
 
+def spy_keys(monkeypatch):
+    """List that records the (m, masks) of every canonical key the engine takes."""
+    keys = []
+    real = core.canonical_key
+
+    def spy(m, masks):
+        keys.append((m, masks))
+        return real(m, masks)
+
+    monkeypatch.setattr(core, "canonical_key", spy)
+    return keys
+
+
+def test_triangulation_keys_only_its_root(monkeypatch):
+    # leaf stripping and the double cut reach every triangulation's degree
+    # without branching, so the shortcut sides take no key
+    keys = spy_keys(monkeypatch)
+    rng = random.Random(1729)
+    tris = [inscribed_polygon_triangulation(n) for n in (16, 24, 32)]
+    tris += [random_triangulation(n, rng.randrange(2**32)) for n in range(20, 41)]
+    for t in tris:
+        p = triangulation_to_problem(t)
+        keys.clear()
+        eng = Engine()
+        assert eng.degree(p) == closed_formula_degree(t)
+        assert len(keys) == 1 and keys[0][0] == p.n
+        assert (eng.cache_hits, eng.cache_misses) == (0, 1)
+
+
+def test_bare_recursion_nodes_stay_keyed(monkeypatch):
+    # the chain is a three-cut at every glued triple; each block then
+    # branches.  Keyed: the root, the first block and the two sides of its
+    # bare split, so 4 misses at any length; every further block is one
+    # hit, and the three-cut sides between them take no key
+    keys = spy_keys(monkeypatch)
+    for copies in range(2, 7):
+        eng = Engine()
+        p = chain_problem(copies)
+        keys.clear()
+        assert eng.degree(p) == 2**copies
+        assert (eng.cache_hits, eng.cache_misses) == (copies - 1, 4)
+        assert len(keys) == eng.cache_hits + eng.cache_misses
+        rng = random.Random(copies)
+        keys.clear()
+        assert eng.degree(relabeled(p, rng)) == 2**copies
+        assert (eng.cache_hits, eng.cache_misses) == (copies, 4)
+        assert len(keys) == 1
+
+
 def test_degree_limit_applies_to_cut_products(monkeypatch):
     t = Triangulation(10, ((1, 3), (1, 9), (3, 5), (3, 8), (3, 9), (5, 8), (6, 8)))
     p = triangulation_to_problem(t)
