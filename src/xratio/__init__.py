@@ -13,10 +13,7 @@ from .engine import (
     MarkedTree,
     contributing_trees,
     degree,
-    double_cut,
     normalize,
-    surplus_violated,
-    three_cut,
 )
 from .oracle import (
     FiberCount,

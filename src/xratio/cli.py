@@ -200,11 +200,12 @@ def cmd_oracle(ns) -> int:
 
 
 def _append_error(out: str) -> OSError | None:
-    """The error appending to out would raise when out is a directory or
-    its directory is missing, found without creating anything; else None."""
+    """The error appending to out would raise when out is empty, a
+    directory or in a missing directory, found without creating anything;
+    else None."""
     if os.path.isdir(out):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(out) or "."):
+    elif not out or not os.path.isdir(os.path.dirname(out) or "."):
         code = errno.ENOENT
     else:
         return None

@@ -43,14 +43,15 @@ The recursion runs on `inst.compact()`; every side configuration, of a
 split or of a shortcut, is built by `side_form`.
 
 Zeros need no separate test: the recursion already returns 0 on every
-configuration with a label-deficient sub-collection.  `surplus_violated`
-(in `surplus`) is the certificate API that names such a sub-collection;
-the degree path never calls it.
+configuration with a label-deficient sub-collection.
+`find_violation(*inst.compact())` (in `surplus`) names such a
+sub-collection; the degree path never calls it.  A cut is reported
+only as its finder's (factor, sides); a side becomes a configuration by
+`CrossRatioProblem.from_masks(*side_form(...))`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_key
@@ -58,11 +59,7 @@ from .instance import CrossRatioProblem, _is_int, bits_of, side_form
 
 __all__ = [
     "Engine",
-    "ThreeCut",
-    "DoubleCut",
     "degree",
-    "three_cut",
-    "double_cut",
     "normalize",
     "default_engine",
 ]
@@ -354,72 +351,6 @@ class Engine:
                 continue
             total += d1 * self._degree(*_side(m, masks, a2))
         return _checked(total)
-
-
-@dataclass(frozen=True)
-class ThreeCut:
-    """A separating label triple with its two side configurations.
-
-    `cut` and `sides` hold the original labels; side instance i is the
-    configuration on cut | sides[i], renumbered 1..m in ascending order.
-    """
-
-    cut: frozenset
-    sides: tuple[frozenset, frozenset]
-    side_instances: tuple[CrossRatioProblem, CrossRatioProblem] | None
-    degree_zero: bool
-
-
-@dataclass(frozen=True)
-class DoubleCut:
-    """Three quads covering six labels pairwise-two, with side data.
-
-    `quad_indices` and `sides` refer to the original quads and labels;
-    side instance i holds quad quad_indices[i] and the quads assigned to
-    it, renumbered 1..m in ascending label order.
-    """
-
-    quad_indices: tuple[int, int, int]
-    sides: tuple[frozenset, frozenset, frozenset]
-    side_instances: tuple[CrossRatioProblem, CrossRatioProblem, CrossRatioProblem] | None
-    degree_zero: bool
-
-
-def _cut(inst, find):
-    """find's hit on inst as (side index tuples, side label sets, side
-    instances or None when the factor is 0), or None."""
-    m, masks = inst.compact()
-    hit = find(m, masks)
-    if hit is None:
-        return None
-    factor, sides = hit
-    idxs = [idx for idx, _ in sides]
-    labels = [frozenset(b + 1 for b in bits_of(mask)) for _, mask in sides]
-    insts = None
-    if factor:
-        insts = tuple(
-            CrossRatioProblem.from_masks(*side_form([masks[j] for j in idx], mask))
-            for idx, mask in sides)
-    return idxs, labels, insts
-
-
-def three_cut(inst) -> ThreeCut | None:
-    cut = _cut(inst, _find_three_cut)
-    if cut is None:
-        return None
-    _, (xs, ys), insts = cut
-    c = xs & ys
-    return ThreeCut(c, (xs - c, ys - c), insts, insts is None)
-
-
-def double_cut(inst) -> DoubleCut | None:
-    cut = _cut(inst, _find_double_cut)
-    if cut is None:
-        return None
-    idxs, labels, insts = cut
-    tri = tuple(idx[0] for idx in idxs)
-    sides = tuple(lab - inst.quads[t] for lab, t in zip(labels, tri))
-    return DoubleCut(tri, sides, insts, insts is None)
 
 
 def normalize(inst) -> CrossRatioProblem:

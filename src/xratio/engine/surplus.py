@@ -20,8 +20,9 @@ test; `oracle.matching_bound` scans the same charts (R pinned at inf, 0,
 
 This is a certificate API, not part of the degree path: the splitting
 recursion in `core` already returns 0 on every such input, and
-`surplus_violated` names the sub-collection that explains the zero.
-`search.exhaustive_cn` calls `find_violation` to prune its generation.
+`find_violation(*inst.compact())` names the sub-collection, by quad
+indices, that explains the zero.  `search.exhaustive_cn` calls it to
+prune its generation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 
 from .instance import bits_of
 
-__all__ = ["find_violation", "hall_failure", "quad_charts", "surplus_violated"]
+__all__ = ["find_violation", "hall_failure", "quad_charts"]
 
 
 def quad_charts(masks) -> list[tuple[int, int, int]]:
@@ -75,9 +76,3 @@ def find_violation(m: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
     """Indices of a vanishing certificate U', or None if the test passes."""
     failures = (hall_failure(m, masks, chart) for chart in quad_charts(masks))
     return next((bad for bad in failures if bad is not None), None)
-
-
-def surplus_violated(inst) -> tuple[int, ...] | None:
-    """Indices (into inst.quads) of a vanishing certificate, or None."""
-    m, masks = inst.compact()
-    return find_violation(m, masks)

@@ -19,15 +19,15 @@ from xratio import (
     bound_report,
     contributing_trees,
     degree,
-    double_cut,
     enumerate_triangulations,
     heuristic_cn,
     internal_triangle_count,
     numeric_degree,
-    surplus_violated,
-    three_cut,
     triangulation_to_problem,
 )
+from xratio.engine.core import _find_double_cut, _find_three_cut
+from xratio.engine.instance import side_form
+from xratio.engine.surplus import find_violation
 
 SEARCH_SEED = 1729
 HEURISTIC_BUDGETS = {7: 3_000, 8: 5_000, 9: 10_000, 10: 20_000}
@@ -170,7 +170,7 @@ def test_oracle_agreement():
     ]
     zeros = 0
     for i, problem in enumerate(vanishing):
-        assert surplus_violated(problem) is not None, i
+        assert find_violation(*problem.compact()) is not None, i
         fc = numeric_degree(problem, seed=777 + i)
         zeros += (fc.count == 0 and not fc.inconclusive)
     check("numeric count is 0 on 5 label-deficient problems",
@@ -178,6 +178,16 @@ def test_oracle_agreement():
     elapsed = time.perf_counter() - t0
     check("oracle agreement runtime under 2 min", elapsed < 120,
           f"{elapsed:.1f}s")
+
+
+def side_degree_product(engine, problem, sides):
+    """Product of the degrees of a finder's sides (quad indices, label mask)."""
+    masks = problem.compact()[1]
+    prod = 1
+    for idx, labels in sides:
+        prod *= engine.degree(CrossRatioProblem.from_masks(
+            *side_form([masks[j] for j in idx], labels)))
+    return prod
 
 
 def test_recursion_properties():
@@ -211,17 +221,14 @@ def test_recursion_properties():
 
     bare = Engine(shortcuts=False)
     pent = CrossRatioProblem(5, ({5, 1, 2, 3}, {2, 3, 4, 5}))
-    tc = three_cut(pent)
+    tc = _find_three_cut(*pent.compact())
     check("separating label triple factors the degree (integer equality)",
-          tc is not None and not tc.degree_zero
-          and bare.degree(pent)
-          == bare.degree(tc.side_instances[0]) * bare.degree(tc.side_instances[1]))
+          tc is not None and tc[0] == 1
+          and bare.degree(pent) == side_degree_product(bare, pent, tc[1]))
 
     snow = CrossRatioProblem(6, ({1, 2, 3, 6}, {2, 3, 4, 5}, {1, 4, 5, 6}))
-    dc = double_cut(snow)
-    prod = 2
-    for side in dc.side_instances:
-        prod *= bare.degree(side)
+    _, sides = _find_double_cut(*snow.compact())
+    prod = 2 * side_degree_product(bare, snow, sides)
     check("pairwise-two quad triple doubles the side product "
           "(integer equality)", bare.degree(snow) == prod,
           f"{bare.degree(snow)} vs {prod}")
@@ -238,7 +245,7 @@ def test_recursion_properties():
     for _ in range(200):
         n = rng.randrange(5, 9)
         problem = random_problem(n, rng)
-        got = surplus_violated(problem) is not None
+        got = find_violation(*problem.compact()) is not None
         bad += (got != brute_vanishes(problem.quads))
     check("label-deficiency test agrees with subset enumeration "
           "(200 instances)", bad == 0, f"{bad} deviations")

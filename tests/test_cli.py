@@ -305,14 +305,15 @@ def test_search_results_in_missing_directory_exit(capsys, tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "exhaustive_cn", no_search)
     monkeypatch.setattr(cli, "heuristic_cn", no_search)
-    out = tmp_path / "no_such_dir" / "runs.jsonl"
-    for resume in (("--resume",), ()):
-        code = main(["search", "--n", "6", "--mode", "exhaustive",
-                     "--out", str(out), *resume])
-        assert code == 2, resume
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write") and str(out) in err
-    assert not out.parent.exists()
+    missing = tmp_path / "no_such_dir" / "runs.jsonl"
+    for out in (str(missing), ""):
+        for resume in (("--resume",), ()):
+            code = main(["search", "--n", "6", "--mode", "exhaustive",
+                         "--out", out, *resume])
+            assert code == 2, (out, resume)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out!r}: [Errno 2]"), err
+    assert not missing.parent.exists()
 
 
 def test_search_rejects_bad_n(capsys, tmp_path):

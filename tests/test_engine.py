@@ -18,13 +18,10 @@ from xratio import (
     Triangulation,
     closed_formula_degree,
     degree,
-    double_cut,
     enumerate_triangulations,
     inscribed_polygon_triangulation,
     normalize,
     random_triangulation,
-    surplus_violated,
-    three_cut,
     triangulation_to_problem,
 )
 from xratio.engine import canon, core
@@ -122,7 +119,7 @@ def test_surplus_matches_brute_force():
     for _ in range(250):
         n = rng.randrange(5, 10)
         p = random_problem(n, rng)
-        cert = surplus_violated(p)
+        cert = find_violation(*p.compact())
         assert (cert is not None) == brute_vanishes(p.quads), p.quads
         if cert is not None:
             union = set()
@@ -150,7 +147,7 @@ def test_surplus_skewed_instances():
 
 
 def test_vanishing_fixture_certificate():
-    cert = surplus_violated(VANISHING)
+    cert = find_violation(*VANISHING.compact())
     assert cert == (0, 1)
     assert degree(VANISHING) == 0
 
@@ -174,7 +171,7 @@ def test_no_violation_implies_positive_degree():
     engines = all_engines()
     for p in inputs:
         vanishes = brute_vanishes(p.quads)
-        assert (surplus_violated(p) is not None) == vanishes, p.quads
+        assert (find_violation(*p.compact()) is not None) == vanishes, p.quads
         for eng in engines:
             assert (eng.degree(p) == 0) == vanishes, p.quads
 
@@ -458,13 +455,24 @@ def test_chain_of_six_blocks_degree_in_bounded_time():
     assert time.perf_counter() - t0 < 10
 
 
+def labels_of(mask):
+    return frozenset(b + 1 for b in bits_of(mask))
+
+
+def side_problems(masks, sides):
+    """A finder's sides (quad indices, label mask) as configurations."""
+    return [CrossRatioProblem.from_masks(*side_form([masks[j] for j in idx], labels))
+            for idx, labels in sides]
+
+
 def test_three_cut_on_pentagon():
     p = CrossRatioProblem(5, ({5, 1, 2, 3}, {2, 3, 4, 5}))
-    tc = three_cut(p)
-    assert tc is not None
-    assert not tc.degree_zero
-    assert tc.cut == frozenset({2, 3, 5})
-    assert set(tc.sides) == {frozenset({1}), frozenset({4})}
+    hit = core._find_three_cut(*p.compact())
+    assert hit is not None
+    factor, ((_, xs), (_, ys)) = hit
+    assert factor == 1
+    assert labels_of(xs & ys) == frozenset({2, 3, 5})
+    assert {labels_of(xs & ~ys), labels_of(ys & ~xs)} == {frozenset({1}), frozenset({4})}
 
 
 def planted_leaves(n, rng, shared):
@@ -523,32 +531,37 @@ def test_three_cut_scan_sees_no_leaves(monkeypatch):
 
 
 def test_double_cut_on_snowflake():
-    dc = double_cut(SNOWFLAKE)
-    assert dc is not None
-    assert not dc.degree_zero
-    assert dc.quad_indices == (0, 1, 2)
-    assert dc.sides == (frozenset(), frozenset(), frozenset())
+    m, masks = SNOWFLAKE.compact()
+    hit = core._find_double_cut(m, masks)
+    assert hit is not None
+    factor, sides = hit
+    assert factor == 2
+    assert tuple(idx[0] for idx, _ in sides) == (0, 1, 2)
+    # each side's labels outside its own quad
+    assert tuple(labels_of(s & ~masks[idx[0]]) for idx, s in sides) == (frozenset(),) * 3
     assert degree(SNOWFLAKE) == 2
 
 
 def test_double_cut_on_13gon():
     p = gon13_problem()
-    dc = double_cut(p)
-    assert dc is not None
-    assert not dc.degree_zero
-    cut_quads = {frozenset(p.quads[i]) for i in dc.quad_indices}
+    m, masks = p.compact()
+    hit = core._find_double_cut(m, masks)
+    assert hit is not None
+    factor, sides = hit
+    assert factor == 2
+    cut_quads = {frozenset(p.quads[idx[0]]) for idx, _ in sides}
     assert cut_quads == {
         frozenset({1, 3, 4, 13}),
         frozenset({1, 9, 10, 13}),
         frozenset({3, 4, 9, 10}),
     }
-    assert set(dc.sides) == {
+    assert {labels_of(s & ~masks[idx[0]]) for idx, s in sides} == {
         frozenset({2}),
         frozenset({11, 12}),
         frozenset({5, 6, 7, 8}),
     }
-    d = [degree(s) for s in dc.side_instances]
-    assert 2 * d[0] * d[1] * d[2] == 8
+    d = [degree(s) for s in side_problems(masks, sides)]
+    assert factor * d[0] * d[1] * d[2] == 8
 
 
 def planted_triple_problem(n, rng):
@@ -580,15 +593,13 @@ def protocol_cases():
     return cases
 
 
-@pytest.mark.parametrize("finder, wrapper", [
-    ("_strip_leaves", None),
-    ("_find_three_cut", three_cut),
-    ("_find_double_cut", double_cut),
+@pytest.mark.parametrize("finder", [
+    "_strip_leaves", "_find_three_cut", "_find_double_cut",
 ], ids=["strip_leaves", "three_cut", "double_cut"])
-def test_shortcut_protocol_identity(finder, wrapper):
+def test_shortcut_protocol_identity(finder):
     # every hit (factor, sides) must give factor * (product of the bare
     # side degrees) = the bare degree, with well-posed sides unless the
-    # factor is 0; the public wrapper reports the same hit
+    # factor is 0; every hit, factor 0 too, has its cut's side shape
     bare = Engine(shortcuts=False)
     find = getattr(core, finder)
     hits = 0
@@ -600,9 +611,21 @@ def test_shortcut_protocol_identity(finder, wrapper):
         hits += 1
         factor, sides = hit
         want = bare.degree(p)
-        cut = wrapper(p) if wrapper else None
-        if cut is not None:
-            assert cut.degree_zero == (factor == 0)
+        full = (1 << m) - 1
+        if finder == "_find_three_cut":
+            # two sides sharing exactly the 3 cut labels, covering all m
+            (_, xs), (_, ys) = sides
+            assert (xs & ys).bit_count() == 3 and xs | ys == full, p.quads
+        if finder == "_find_double_cut":
+            # side s holds quad idx[0]; outside the triple's six labels the
+            # sides partition the remaining labels
+            tri = [idx[0] for idx, _ in sides]
+            assert len(set(tri)) == 3, p.quads
+            six = masks[tri[0]] | masks[tri[1]] | masks[tri[2]]
+            outs = [s & ~six for _, s in sides]
+            assert all(masks[idx[0]] & ~s == 0 for idx, s in sides), p.quads
+            assert outs[0] | outs[1] | outs[2] == full & ~six, p.quads
+            assert sum(o.bit_count() for o in outs) == (full & ~six).bit_count(), p.quads
         if factor == 0:
             assert want == 0, p.quads
             continue
@@ -612,14 +635,6 @@ def test_shortcut_protocol_identity(finder, wrapper):
             assert len(smasks) == sm - 3, p.quads
             got *= bare._degree(sm, smasks)
         assert got == want, p.quads
-        if cut is not None:
-            # the public sides are exactly the sides the engine recurses on
-            assert cut.side_instances == tuple(
-                CrossRatioProblem.from_masks(*f) for f in forms), p.quads
-            got = factor
-            for s in cut.side_instances:
-                got *= bare.degree(s)
-            assert got == want, p.quads
     assert hits >= 40
 
 
@@ -704,9 +719,10 @@ def test_bare_recursion_nodes_stay_keyed(monkeypatch):
 def test_degree_limit_applies_to_cut_products(monkeypatch):
     t = Triangulation(10, ((1, 3), (1, 9), (3, 5), (3, 8), (3, 9), (5, 8), (6, 8)))
     p = triangulation_to_problem(t)
-    tc = three_cut(p)
-    assert tc is not None and not tc.degree_zero
-    assert [degree(s) for s in tc.side_instances] == [2, 2]
+    m, masks = p.compact()
+    hit = core._find_three_cut(m, masks)
+    assert hit is not None and hit[0] == 1
+    assert [degree(s) for s in side_problems(masks, hit[1])] == [2, 2]
     monkeypatch.setattr(core, "DEGREE_LIMIT", 5)
     assert Engine().degree(p) == 4
     # every side stays under the limit; only the three-cut product reaches it
