@@ -200,15 +200,25 @@ def cmd_oracle(ns) -> int:
 
 
 def _append_error(out: str) -> OSError | None:
-    """The error appending to out would raise when out is empty, a
-    directory or in a missing directory, found without creating anything;
-    else None."""
-    if os.path.isdir(out):
-        code = errno.EISDIR
-    elif not out or not os.path.isdir(os.path.dirname(out) or "."):
+    """The error appending to out would raise, found without creating
+    anything: out is empty, a directory or a file that cannot be written,
+    or its directory is missing, not a directory or not writable; else None."""
+    parent = os.path.dirname(out) or "."
+    if not out:
         code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.isdir(parent):
+        if (os.access(out, os.W_OK) if os.path.exists(out)
+                else os.access(parent, os.W_OK | os.X_OK)):
+            return None
+        code = errno.EACCES
     else:
-        return None
+        try:
+            os.stat(parent)
+            code = errno.ENOTDIR  # a regular file, as in README.md/runs.jsonl
+        except OSError as exc:  # missing, or a regular file further up
+            code = exc.errno
     return OSError(code, os.strerror(code), out)
 
 

@@ -5,10 +5,14 @@ label sets carries one multiset of quads to the other, so the memo cache
 and the search dedup both key on a canonical form: the lexicographically
 least leaf encoding of an individualization-refinement search tree.
 
-A node of the tree is an ordered coloring of the labels.  It is first
-refined (a label's color sees its own color plus the multiset of color
-patterns of the quads through it, iterated to a fixed point); if a color
-class is still shared, each member of the first such class is
+A node of the tree is a coloring of the labels by dense ranks, refined
+in rounds to a fixed point: a round ranks labels by color, then by the
+sorted signatures of their quads, -sum(5 ** (m - 1 - c)) over each quad's
+label colors c.  A quad holds at most 4 labels of a color, so that sum is
+its color multiset in base 5 and the signatures order quads exactly as
+their sorted color tuples.  As color ranks first, a round re-ranks only
+classes of 2 or more labels, and refinement stops at a discrete coloring.
+If a class is still shared, each member of the first such class is
 individualized in turn, giving one child each.  A leaf is a coloring
 with all classes singletons, i.e. a relabeling, encoded as the sorted
 relabeled quad masks.  Every step commutes with relabeling, so the least
@@ -51,23 +55,6 @@ from .instance import bits_of
 __all__ = ["canonical_key", "canonical_relabeling"]
 
 
-def _refine(colors: list[int], quad_bits: list[list[int]],
-            quads_of: list[list[int]]) -> list[int]:
-    m = len(colors)
-    ncol = len(set(colors))
-    while True:
-        qsig = [tuple(sorted(colors[b] for b in qb)) for qb in quad_bits]
-        sig = [
-            (colors[l], tuple(sorted(qsig[j] for j in quads_of[l])))
-            for l in range(m)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[s] for s in sig]
-        if len(rank) == ncol:
-            return new
-        colors, ncol = new, len(rank)
-
-
 def _encode(colors: list[int], quad_bits: list[list[int]]) -> tuple[int, ...]:
     # colors form a bijection label -> position once all classes are singletons
     return tuple(sorted(sum(1 << colors[b] for b in qb) for qb in quad_bits))
@@ -98,18 +85,41 @@ class _Search:
                 swap = list(range(m))
                 swap[t], swap[l] = l, t
                 self.gens.append(swap)
+        self.weight = [-5 ** (m - 1 - c) for c in range(m)]  # quad signature terms
         self.firsts: list = []  # per node on the current path: first leaf below it
         self.best: tuple | None = None  # least encoding so far, its leaf coloring
+
+    def refine(self, colors: list[int]) -> tuple[list[int], list[int] | None]:
+        """Refined dense coloring and its first tied class (None if discrete)."""
+        m, w, quads_of = self.m, self.weight, self.quads_of
+        classes: list[list[int]] = [[] for _ in range(max(colors, default=0) + 1)]
+        for l, c in enumerate(colors):
+            classes[c].append(l)
+        while len(classes) < m:
+            qsig = [w[colors[a]] + w[colors[b]] + w[colors[c]] + w[colors[d]]
+                    for a, b, c, d in self.quad_bits]
+            split: list[list[int]] = []
+            for cls in classes:
+                if len(cls) == 1:
+                    split.append(cls)
+                    continue
+                parts: dict[tuple[int, ...], list[int]] = {}
+                for l in cls:
+                    sig = tuple(sorted([qsig[j] for j in quads_of[l]]))
+                    parts.setdefault(sig, []).append(l)
+                split += [parts[s] for s in sorted(parts)]
+            if len(split) == len(classes):
+                break
+            classes, colors = split, [0] * m
+            for c, cls in enumerate(classes):
+                for l in cls:
+                    colors[l] = c
+        return colors, next((cls for cls in classes if len(cls) > 1), None)
 
     def node(self, colors: list[int], path: list[int]) -> int | None:
         """Search below a node; returns the depth to backjump to, or None."""
         m = self.m
-        colors = _refine(colors, self.quad_bits, self.quads_of)
-        classes: dict[int, list[int]] = {}
-        for l, c in enumerate(colors):
-            classes.setdefault(c, []).append(l)
-        tie = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1),
-                   None)
+        colors, tie = self.refine(colors)
         firsts = self.firsts
         if tie is None:
             enc = _encode(colors, self.quad_bits)
@@ -131,7 +141,7 @@ class _Search:
                         k += 1
                     return k
             return None
-        depth = len(path)
+        depth, tc = len(path), colors[tie[0]]
         firsts.append(None)
         orbits = list(range(m))  # union-find under the gens fixing path
         used = 0
@@ -151,9 +161,8 @@ class _Search:
                     continue
             explored.append(l)
             # individualize l: give it a color just below the rest of its class
-            seeded = [(colors[x], 0 if x != l else -1) for x in range(m)]
-            rank = {s: i for i, s in enumerate(sorted(set(seeded)))}
-            jump = self.node([rank[s] for s in seeded], path + [l])
+            jump = self.node([c + (c > tc or (c == tc and x != l))
+                              for x, c in enumerate(colors)], path + [l])
             if jump is not None and jump < depth:
                 break
             jump = None

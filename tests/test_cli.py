@@ -298,11 +298,12 @@ def test_search_results_directory_exit(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def no_search(*args, **kwargs):
+    raise AssertionError("search started")
+
+
 def test_search_results_in_missing_directory_exit(capsys, tmp_path, monkeypatch):
     # refused before any search runs: a search here would be thrown away
-    def no_search(*args, **kwargs):
-        raise AssertionError("search started")
-
     monkeypatch.setattr(cli, "exhaustive_cn", no_search)
     monkeypatch.setattr(cli, "heuristic_cn", no_search)
     missing = tmp_path / "no_such_dir" / "runs.jsonl"
@@ -314,6 +315,39 @@ def test_search_results_in_missing_directory_exit(capsys, tmp_path, monkeypatch)
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot write {out!r}: [Errno 2]"), err
     assert not missing.parent.exists()
+
+
+def test_search_results_under_regular_file_exit(capsys, tmp_path, monkeypatch):
+    # a path through a regular file is refused as the append would refuse it
+    monkeypatch.setattr(cli, "exhaustive_cn", no_search)
+    plain = tmp_path / "README.md"
+    plain.write_text("text\n")
+    for out in (plain / "runs.jsonl", plain / "sub" / "runs.jsonl"):
+        for resume in (("--resume",), ()):
+            code = main(["search", "--n", "6", "--mode", "exhaustive",
+                         "--out", str(out), *resume])
+            assert code == 2, (out, resume)
+            assert "[Errno 20]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [plain]
+    assert plain.read_text() == "text\n"
+
+
+def test_search_results_in_unwritable_directory_exit(capsys, tmp_path, monkeypatch):
+    # os.access stands in for a read-only directory, which root could write
+    monkeypatch.setattr(cli, "exhaustive_cn", no_search)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = str(tmp_path / "runs.jsonl")
+    code = main(["search", "--n", "6", "--mode", "exhaustive", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out!r}: [Errno 13]"), err
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is appended to in place: its own access is what counts
+    Path(out).write_text("")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path == out)
+    assert cli._append_error(out) is None
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != out)
+    assert cli._append_error(out).errno == 13
 
 
 def test_search_rejects_bad_n(capsys, tmp_path):

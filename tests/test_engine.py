@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -5,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from oracles import (
+    _reference_refine,
     brute_isomorphic,
     brute_vanishes,
     random_problem,
@@ -360,6 +362,51 @@ def test_canonical_labeling_with_planted_twins():
             enc, colors = reference_canon(m, masks)
             assert canonical_key(m, masks) == (m, enc), masks
             assert canonical_relabeling(m, masks) == colors, masks
+
+
+def test_refine_matches_reference_refinement():
+    # random dense starting colorings, most of them not equitable, on random
+    # configurations and triangulations
+    rng = random.Random(101)
+    cases = [random_problem(rng.randrange(5, 15), rng).compact()
+             for _ in range(200)]
+    cases += [triangulation_to_problem(random_triangulation(n, rng.randrange(2**32)))
+              .compact() for n in range(6, 31)]
+    for m, masks in cases:
+        quad_bits = [[b for b in range(m) if q >> b & 1] for q in masks]
+        quads_of = [[j for j, qb in enumerate(quad_bits) if b in qb]
+                    for b in range(m)]
+        for k in (1, 2, 3, m // 2, m):
+            raw = [rng.randrange(k) for _ in range(m)]
+            rank = {c: i for i, c in enumerate(sorted(set(raw)))}
+            colors = [rank[c] for c in raw]
+            expect = _reference_refine(colors, quad_bits, quads_of)
+            got, tie = canon._Search(m, masks).refine(colors)
+            assert got == expect, (m, masks, colors)
+            tied = [c for c in range(m) if expect.count(c) > 1]
+            assert tie == ([l for l in range(m) if expect[l] == tied[0]]
+                           if tied else None)
+
+
+def test_canonical_keys_pinned():
+    # sha256 of keys and relabelings over a fixed seeded set: a changed key
+    # or relabeling shows here, also on inputs too large for reference_canon
+    rng = random.Random(97)
+    cases = [triangulation_to_problem(t).compact()
+             for n in range(3, 10) for t in enumerate_triangulations(n)]
+    cases += [random_problem(rng.randrange(5, 15), rng).compact()
+              for _ in range(200)]
+    for n in range(16, 33):
+        for t in (inscribed_polygon_triangulation(n),
+                  random_triangulation(n, rng.randrange(2**32))):
+            cases.append(triangulation_to_problem(t).compact())
+    h = hashlib.sha256()
+    for m, masks in cases:
+        h.update(repr((canonical_key(m, masks),
+                       canonical_relabeling(m, masks))).encode())
+    assert h.hexdigest() == (
+        "63ef02c3a4c9114cdfa005000b7da5207987608cba1498c2c40cd888175a1374")
+    assert (canonical_key(0, ()), canonical_relabeling(0, ())) == ((0, ()), [])
 
 
 def test_canonical_search_nodes_on_inscribed(monkeypatch):
