@@ -8,8 +8,9 @@ formula), oracle (numeric fiber count with engine cross-check), search
 Reports are JSON on stdout (--format table for a human rendering) and
 deterministic for fixed inputs and seed, except timing fields.  Exit
 codes: 0 success, 2 unreadable or malformed input or a results file
-that cannot be read or written, 3 invalid input values, 4 inconclusive
-oracle run or exceeded path budget, 5 verification mismatch.
+that cannot be read or written, 3 invalid input values or a degree of
+2^64 or more, 4 inconclusive oracle run or exceeded path budget, 5
+verification mismatch.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def emit(report: dict, fmt: str, table_lines=None):
 
 def cmd_degree(ns) -> int:
     problem = load_input(ns.file)
-    engine = Engine(cache_cap=ns.cache_cap)
+    engine = Engine()
     d = engine.degree(problem)
     report = {
         "n": problem.n,
@@ -113,9 +114,8 @@ def cmd_degree(ns) -> int:
     return EXIT_OK
 
 
-def _verify_one_n(args):
-    n, cache_cap = args
-    engine = Engine(cache_cap=cache_cap)
+def _verify_one_n(n):
+    engine = Engine()
     per_i: dict[int, int] = {}
     mismatches = []
     count = 0
@@ -138,7 +138,7 @@ def cmd_verify(ns) -> int:
         raise CliError(EXIT_INVALID, f"verify supports 3 <= nmax <= {ENUMERATION_CAP}")
     if ns.threads < 1:
         raise CliError(EXIT_INVALID, f"need --threads >= 1, got {ns.threads}")
-    tasks = [(n, ns.cache_cap) for n in range(3, nmax + 1)]
+    tasks = range(3, nmax + 1)
     if ns.threads > 1:
         # the executor starts all its workers at once: no more than tasks
         with ProcessPoolExecutor(max_workers=min(ns.threads, len(tasks))) as pool:
@@ -182,7 +182,7 @@ def cmd_oracle(ns) -> int:
         print(json.dumps({"error": str(exc)}))
         return EXIT_INCONCLUSIVE
     report = fc.to_json()
-    engine_degree = Engine(cache_cap=ns.cache_cap).degree(problem)
+    engine_degree = Engine().degree(problem)
     report["engine_degree"] = engine_degree
     report["agrees"] = (fc.count == engine_degree) and not fc.inconclusive
     inf_label, zero_label, one_label = fc.chart
@@ -237,11 +237,10 @@ def cmd_search(ns) -> int:
     refused = _append_error(out)
     if refused is not None:  # before the search, whose result would be lost
         raise CliError(EXIT_PARSE, f"cannot write {out!r}: {refused}")
-    engine = Engine(cache_cap=ns.cache_cap)
     if ns.mode == "exhaustive":
-        result = exhaustive_cn(ns.n, engine=engine)
+        result = exhaustive_cn(ns.n)
     else:
-        result = heuristic_cn(ns.n, budget=ns.budget, seed=ns.seed, engine=engine)
+        result = heuristic_cn(ns.n, budget=ns.budget, seed=ns.seed)
     try:
         append_result(out, result)
     except OSError as exc:
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker pool size for verify sweeps")
     ap.add_argument("--format", dest="fmt", choices=("json", "table"),
                     default="json", help="report format")
-    ap.add_argument("--cache-cap", type=int, default=None,
-                    help="bound the engine memo cache (entries)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("degree", help="exact degree of a problem/triangulation file")
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

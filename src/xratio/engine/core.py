@@ -55,7 +55,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .canon import canonical_key
-from .instance import CrossRatioProblem, _is_int, bits_of, side_form
+from .instance import CrossRatioProblem, bits_of, side_form
 
 __all__ = [
     "Engine",
@@ -272,19 +272,15 @@ class Engine:
     up first, and a shortcut side that no shortcut reduces, looked up
     just before it branches.  `nodes` counts every node with 5 or more
     labels; `cache_hits` and `cache_misses` count the keyed nodes, so
-    their sum is the number of keys taken.  cache_cap bounds the cache
-    entries (None: no bound, 0: no caching); any value but None or an
-    int >= 0 is a ValueError.
+    their sum is the number of keys taken.  The cache keeps each keyed
+    value for the engine's lifetime.
     """
 
-    def __init__(self, shortcuts: bool = True, cache_cap: int | None = None):
-        if cache_cap is not None and not (_is_int(cache_cap) and cache_cap >= 0):
-            raise ValueError(f"need None or a non-negative cache cap, got cache_cap={cache_cap!r}")
+    def __init__(self, shortcuts: bool = True):
         # read at construction, so a finder patched on the module is seen
         self._shortcuts = (
             (_strip_leaves, _find_double_cut, _find_three_cut) if shortcuts else ()
         )
-        self.cache_cap = cache_cap
         self._cache: dict = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -321,8 +317,7 @@ class Engine:
             return hit
         val = compute(m, masks)
         self.cache_misses += 1
-        if self.cache_cap is None or len(self._cache) < self.cache_cap:
-            self._cache[key] = val
+        self._cache[key] = val
         return val
 
     def _compute(self, m, masks) -> int:

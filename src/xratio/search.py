@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import CrossRatioProblem, Engine, canonical_key, normalize
+from .engine.core import DEGREE_LIMIT
 from .engine.instance import _is_int
 from .engine.surplus import find_violation
 from .polygon import (
@@ -88,6 +89,12 @@ def _check_args(n: int, mode: str, budget: int = 1) -> None:
     else:
         if n < 6:
             raise ValueError("heuristic search needs n >= 6; below that use exhaustive_cn")
+        # its first start, the inscribed triangulation, has degree
+        # 2**(n//2 - 2), which must stay below DEGREE_LIMIT
+        top = 2 * (DEGREE_LIMIT - 1).bit_length() + 3
+        if n > top:
+            raise ValueError(f"heuristic search needs n <= {top}: above that the "
+                             f"inscribed triangulation's degree reaches {DEGREE_LIMIT}")
         if not _is_int(budget) or budget < 1:
             raise ValueError(f"budget must be a positive integer, got {budget!r}")
 

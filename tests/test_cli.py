@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from oracles import random_problem
 
-from xratio import cli
+from xratio import cli, inscribed_polygon_triangulation
 from xratio.cli import main
 
 
@@ -90,16 +90,24 @@ def test_verify_nmax_range(capsys):
     assert code == 3
 
 
-def test_negative_cache_cap_and_threads_exit(capsys):
-    code, _ = run(capsys, "--cache-cap", "-1", "degree", "snowflake.json")
-    assert code == 3
-    code, _ = run(capsys, "--cache-cap", "-1", "verify", "--nmax", "5")
-    assert code == 3
+def test_bad_global_options_exit(capsys):
     for threads in ("0", "-3"):
         code, _ = run(capsys, "--threads", threads, "verify", "--nmax", "5")
         assert code == 3
-    code, rep = run_json(capsys, "--cache-cap", "0", "degree", "snowflake.json")
-    assert (code, rep["degree"]) == (0, 2)
+    # the engine has one cache policy; the option that bounded it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-cap", "0", "degree", "snowflake.json"])
+    assert exc.value.code == 2
+
+
+def test_degree_past_uint64_exits_invalid(capsys, tmp_path):
+    # the inscribed 140-gon has 68 internal triangles: degree 2**68
+    path = tmp_path / "inscribed140.json"
+    path.write_text(json.dumps(inscribed_polygon_triangulation(140).to_json()))
+    code = main(["degree", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: degree ") and err.count("\n") == 1
 
 
 def test_oracle_snowflake_agrees(capsys):
@@ -418,8 +426,7 @@ def test_verify_threads_match_serial(capsys):
     code1, rep1 = run_json(capsys, "verify", "--nmax", "6")
     code2, rep2 = run_json(capsys, "--threads", "2", "verify", "--nmax", "6")
     assert code1 == code2 == 0
-    assert rep1["per_n"] == rep2["per_n"]
-    assert rep1["per_internal_count"] == rep2["per_internal_count"]
+    assert rep1 == rep2
 
 
 def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch):

@@ -712,6 +712,9 @@ def test_cache_hits_on_repeat_and_relabel():
     assert eng.degree(relab) == 8
     assert eng.cache_hits > hits
     assert eng.cache_misses == misses
+    # one cache policy: the memo keeps every keyed value, with no bound
+    with pytest.raises(TypeError):
+        Engine(cache_cap=0)
 
 
 def spy_keys(monkeypatch):
@@ -776,22 +779,6 @@ def test_degree_limit_applies_to_cut_products(monkeypatch):
     monkeypatch.setattr(core, "DEGREE_LIMIT", 4)
     with pytest.raises(OverflowError):
         Engine().degree(p)
-
-
-def test_cache_cap_zero_still_correct():
-    eng = Engine(cache_cap=0)
-    p = gon13_problem()
-    assert eng.degree(p) == 8
-    assert eng.degree(p) == 8
-    assert eng.cache_hits == 0
-
-
-def test_cache_cap_negative_rejected():
-    with pytest.raises(ValueError, match="negative cache cap"):
-        Engine(cache_cap=-1)
-    for bad in (1.5, True):
-        with pytest.raises(ValueError, match=f"cache_cap={bad!r}$"):
-            Engine(cache_cap=bad)
 
 
 def test_default_engine_shared():

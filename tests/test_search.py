@@ -232,6 +232,19 @@ def test_heuristic_rejects_small_n():
         heuristic_cn(5, budget=100, seed=1)
 
 
+def test_heuristic_refuses_n_whose_first_start_overflows(monkeypatch):
+    # from n = 132 the first start, the inscribed triangulation, has degree
+    # 2**(n//2 - 2) >= 2**64, which the engine refuses: the search is
+    # refused before it builds its C(n, 4) quads
+    def refuse(*args):
+        raise AssertionError("built the quad pool")
+
+    monkeypatch.setattr(search, "combinations", refuse)
+    with pytest.raises(ValueError, match="n <= 131"):
+        heuristic_cn(132, budget=1)
+    search._check_args(131, "heuristic")
+
+
 def test_non_integer_n_rejected():
     # the check the polygon constructors use: a float or bool n is a
     # ValueError, not a TypeError from deep inside, nor float bounds
